@@ -123,12 +123,6 @@ class CosetTable:
                     return 0
         return a
 
-    def permutation(self, gen: str) -> list:
-        """Action of a generator on live cosets (index 0 unused)."""
-        c = 2 * self.gen_index[gen]
-        W = self.ncols
-        return [0] + [self.tab[a * W + c] for a in range(1, self.n + 1)]
-
     def check(self) -> None:
         """Assert inverse consistency and relator closure (test support)."""
         W = self.ncols

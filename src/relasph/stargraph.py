@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .words import (
@@ -54,9 +55,6 @@ class StarGraph:
 
     def pair_ids(self) -> list:
         return sorted({self.pair_id(e.eid) for e in self.edges})
-
-    def edges_from(self, vertex) -> list:
-        return [e for e in self.edges if e.source == vertex]
 
     def rotation_edges(self, relator_index: int) -> list:
         """The positively-oriented rotation edges of one relator, in
@@ -125,7 +123,10 @@ def build_star_graph(p: RelativePresentation) -> StarGraph:
         for eid, d in enumerate(edges))
     for e in out:
         q = out[e.partner]
-        assert q.partner == e.eid and q.source == e.target and q.target == e.source
+        if not (q.partner == e.eid and q.source == e.target
+                and q.target == e.source):
+            raise RuntimeError(f"edge {e.eid} and its partner {q.eid} "
+                               "do not form an inverse pair")
     return StarGraph(p, vertices, out)
 
 
@@ -142,6 +143,16 @@ def _canonical_cycle(edge_ids: tuple, graph: StarGraph) -> tuple:
     return best
 
 
+def _successors(graph: StarGraph) -> list:
+    """Per edge e, the ids of the edges a cyclically reduced path may take
+    after e: those out of e's target except e's partner, in edge order."""
+    out = {}
+    for e in graph.edges:
+        out.setdefault(e.source, []).append(e.eid)
+    return [[f for f in out.get(e.target, ()) if f != e.partner]
+            for e in graph.edges]
+
+
 def admissible_cycles(graph: StarGraph, ctx, max_len: int) -> list:
     """All admissibility-checked cyclically reduced closed paths of length
     <= max_len, up to rotation and inversion.
@@ -151,6 +162,7 @@ def admissible_cycles(graph: StarGraph, ctx, max_len: int) -> list:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     edges = graph.edges
+    succ = _successors(graph)
     seen = set()
     found = []
 
@@ -171,12 +183,10 @@ def admissible_cycles(graph: StarGraph, ctx, max_len: int) -> list:
                         found.append(AdmissibleCycle(key, label, "possibly-admissible"))
         if len(path) == max_len:
             return
-        last = path[-1]
-        for e in edges:
-            if e.source == vertex and e.eid != edges[last].partner:
-                path.append(e.eid)
-                extend(path, e.target, start_edge)
-                path.pop()
+        for f in succ[path[-1]]:
+            path.append(f)
+            extend(path, edges[f].target, start_edge)
+            path.pop()
 
     for e in edges:
         # loops of length 1 close immediately; longer paths continue
@@ -190,6 +200,33 @@ class NegativeCycleError(ValueError):
     minimum admissible weight is unbounded below."""
 
 
+def _integer_weights(graph: StarGraph, theta: dict) -> tuple:
+    """(wt, den): wt[e] is edge e's weight times den, the lcm of theta's
+    denominators, so every weight is an int."""
+    values = [theta[min(e.eid, e.partner)] for e in graph.edges]
+    den = lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def has_negative_cycle(graph: StarGraph, theta: dict) -> bool:
+    """Whether some cyclically reduced closed cycle (labels ignored) has
+    negative weight: Bellman-Ford on last-edge states from a virtual
+    source.  `theta` maps edge-pair ids to Fractions."""
+    succ, (wt, _) = _successors(graph), _integer_weights(graph, theta)
+    dist = [0] * len(succ)
+    for _ in range(len(succ) + 1):
+        changed = False
+        for e, nexts in enumerate(succ):
+            de = dist[e]
+            for f in nexts:
+                if de + wt[f] < dist[f]:
+                    dist[f] = de + wt[f]
+                    changed = True
+        if not changed:
+            return False
+    return True
+
+
 def min_admissible_cycle_weight(graph: StarGraph, theta: dict, ctx,
                                 max_len: Optional[int] = None):
     """Exact minimum weight over all admissible cycles (finite groups).
@@ -200,94 +237,79 @@ def min_admissible_cycle_weight(graph: StarGraph, theta: dict, ctx,
     None when no admissible cycle exists.  Raises NegativeCycleError when
     some cyclically reduced closed cycle has negative weight, since then
     admissible weights are unbounded below.
+
+    The search adds and compares ints: theta times the lcm of its
+    denominators.  Scaling by a positive constant preserves every sum and
+    every comparison, so the search takes the steps the rational one would,
+    and the minimum divided back by the lcm is exact.  A product state
+    (edge e, coset c), the walk ending in e at e's target, is the int
+    e * (|G| + 1) + c.
     """
     table = ctx.regular_table()
     if table is None:
         raise ValueError("coefficient group is not enumerable within budget; "
                          "fall back to bounded admissible_cycles")
-    n_elems = table.n
-    edges = graph.edges
-
-    def w(e):
-        return theta[min(e.eid, e.partner)]
-
-    # negative-cycle detection over all cyclically reduced cycles (labels
-    # ignored): Bellman-Ford on last-edge states with a virtual source
-    verts = {}
-    for e in edges:
-        verts.setdefault(e.source, []).append(e)
-    dist = {e.eid: Fraction(0) for e in edges}
-    for _ in range(len(edges) + 1):
-        changed = False
-        for e in edges:
-            de = dist[e.eid]
-            for f in verts.get(e.target, ()):
-                if f.eid == e.partner:
-                    continue
-                nd = de + w(f)
-                if nd < dist[f.eid]:
-                    dist[f.eid] = nd
-                    changed = True
-        if not changed:
-            break
-    else:
+    if has_negative_cycle(graph, theta):
         raise NegativeCycleError("negative cyclically reduced cycle detected")
+    edges = graph.edges
+    succ, (wt, den) = _successors(graph), _integer_weights(graph, theta)
+    width = table.n + 1
+    # step[f][c]: the state reached from coset c along edge f
+    step = [[0] + [e.eid * width + table.trace(c, e.label)
+                   for c in range(1, width)] for e in edges]
+    moves = [[(step[f], wt[f]) for f in nexts] for nexts in succ]
 
     best = None
     best_cycle = None
+    limit = (max_len - 1) if max_len is not None else None
     # cycles are rooted at each start edge with coset 1
     for start in edges:
-        # shortest-walk relaxation over (vertex, coset, last-edge) states
-        # from the start edge's head; wrap rules: the first step out of the
-        # initial state excludes the start's partner automatically, the
-        # closing step must not be the start's partner either.  The length
-        # cap, when given, restricts to cycles of at most max_len edges.
-        c0 = table.trace(1, start.label)
-        init = (start.target, c0, start.eid)
-        dist2 = {init: Fraction(0)}
-        pred = {init: None}
+        # level-by-level relaxation from the start edge's head; the first
+        # step excludes the start's partner through `moves`.  Frontiers
+        # keep duplicates, and a state relaxes with its distance when popped.
+        init = step[start.eid][1]
+        dist = [None] * (len(edges) * width)
+        pred = dist[:]
+        dist[init] = 0
+        reached = [init]  # in the order first reached
         frontier = [init]
         steps = 0
-        limit = (max_len - 1) if max_len is not None else None
-        while frontier:
-            if limit is not None and steps >= limit:
-                break
+        while frontier and (limit is None or steps < limit):
             steps += 1
             new_frontier = []
             for st in frontier:
-                v, c, last = st
-                d = dist2[st]
-                for f in verts.get(v, ()):
-                    if f.eid == edges[last].partner:
+                d, c = dist[st], st % width
+                for to, w in moves[st // width]:
+                    st2 = to[c]
+                    old = dist[st2]
+                    if old is None:
+                        reached.append(st2)
+                    elif d + w >= old:
                         continue
-                    c2 = table.trace(c, f.label)
-                    st2 = (f.target, c2, f.eid)
-                    nd = d + w(f)
-                    if st2 not in dist2 or nd < dist2[st2]:
-                        dist2[st2] = nd
-                        pred[st2] = st
-                        new_frontier.append(st2)
+                    dist[st2] = d + w
+                    pred[st2] = st
+                    new_frontier.append(st2)
             frontier = new_frontier
-        # close the cycle at the start edge's tail with trivial total label;
-        # the initial state alone covers single-edge loop cycles
-        for st, d in dist2.items():
-            v, c, last = st
-            if v == start.source and c == 1 and last != start.partner:
-                total = d + w(start)
-                if best is None or total < best:
-                    ids = []
-                    cur = st
-                    while cur is not None:
-                        ids.append(cur[2])
-                        cur = pred[cur]
-                        if len(ids) > len(dist2) + 1:
-                            raise RuntimeError("predecessor chain loops")
-                    ids.reverse()
-                    best = total
-                    best_cycle = tuple(ids)
+        # close the cycle at the start edge's tail with trivial total label
+        # and a last edge other than the start's partner; the initial state
+        # alone covers single-edge loop cycles
+        closing = {e.eid * width + 1 for e in edges
+                   if e.target == start.source and e.eid != start.partner}
+        for st in reached:
+            if st in closing and (best is None or dist[st] + wt[start.eid] < best):
+                ids = []
+                cur = st
+                while cur is not None:
+                    ids.append(cur // width)
+                    cur = pred[cur]
+                    if len(ids) > len(reached) + 1:
+                        raise RuntimeError("predecessor chain loops")
+                ids.reverse()
+                best = dist[st] + wt[start.eid]
+                best_cycle = tuple(ids)
     if best is None:
         return None
-    return best, _canonical_cycle(best_cycle, graph)
+    return Fraction(best, den), _canonical_cycle(best_cycle, graph)
 
 
 def to_dot(graph: StarGraph, theta: Optional[dict] = None) -> str:

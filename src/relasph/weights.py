@@ -9,8 +9,12 @@ aspherical when
   (II) every admissible cycle has weight at least 2,
 
 and aspherical when additionally every cyclically reduced closed cycle
-has non-negative weight.  All arithmetic is exact rational: the
-inequalities are sharp and float drift would be unsound.
+has non-negative weight.  All arithmetic is exact, never floating point:
+the inequalities are sharp and float drift would be unsound.  Condition
+(I) and the bounded cycle checks sum Fractions.  The exact minimum and the
+negative-cycle check in stargraph multiply every weight by the lcm of the
+denominators and work on ints: scaling by a positive constant preserves
+every sum and comparison, so they decide exactly what Fractions would.
 
 Condition (II) quantifies over infinitely many cycles.  For enumerable
 finite coefficient groups it is decided exactly on the product graph; for
@@ -28,6 +32,7 @@ from .stargraph import (
     NegativeCycleError,
     StarGraph,
     admissible_cycles,
+    has_negative_cycle,
     min_admissible_cycle_weight,
 )
 
@@ -61,11 +66,12 @@ class WeightFunction:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'pair_id weight'")
-            pid = int(parts[0])
-            weights[pid] = Fraction(parts[1])
+            try:
+                pid, value = line.split()
+                weights[int(pid)] = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"line {lineno}: expected 'pair_id weight', "
+                                 "weight an integer or p/q with q != 0") from None
         missing = [pid for pid in graph.pair_ids() if pid not in weights]
         if missing:
             raise ValueError(f"weights missing for edge pairs {missing}")
@@ -146,28 +152,6 @@ def check_condition_I(graph: StarGraph, theta: WeightFunction) -> tuple:
     return tuple(results)
 
 
-def _has_negative_cycle(graph: StarGraph, theta: WeightFunction) -> bool:
-    edges = graph.edges
-    by_src = {}
-    for e in edges:
-        by_src.setdefault(e.source, []).append(e)
-    dist = {e.eid: Fraction(0) for e in edges}
-    for _ in range(len(edges) + 1):
-        changed = False
-        for e in edges:
-            de = dist[e.eid]
-            for f in by_src.get(e.target, ()):
-                if f.eid == e.partner:
-                    continue
-                nd = de + theta.of_edge(graph, f.eid)
-                if nd < dist[f.eid]:
-                    dist[f.eid] = nd
-                    changed = True
-        if not changed:
-            return False
-    return True
-
-
 def check_weight_function(graph: StarGraph, theta: WeightFunction, ctx,
                           mode: str = "weak", bound: int = 6) -> WeightReport:
     """Full (weakly) aspherical weight-function check.
@@ -211,7 +195,7 @@ def check_weight_function(graph: StarGraph, theta: WeightFunction, ctx,
             cond2 = ConditionIIResult(NOT_CERTIFIED, bound=bound, note=note)
     nonneg = "not-checked"
     if mode == "full":
-        nonneg = "fail" if _has_negative_cycle(graph, theta) else "pass"
+        nonneg = "fail" if has_negative_cycle(graph, theta.weights) else "pass"
     return WeightReport(cond1, cond2, nonneg, mode)
 
 

@@ -92,6 +92,16 @@ def test_weighttest_file(tmp_path, capsys):
     assert "sum = 2" in out and "VIOLATED (weight 2/3" in out
 
 
+def test_weighttest_zero_denominator_exits_2(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_text("group <g | g^2>; x; rel x^3 g")
+    w = tmp_path / "weights.txt"
+    w.write_text("0 1/3\n1 1/0\n2 1/3\n")
+    rc, out, err = run(capsys, "weighttest", str(f), str(w))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: line 2:") and err.count("\n") == 1
+
+
 def test_weighttest_search(tmp_path, capsys):
     f = tmp_path / "p.txt"
     f.write_text("group <y | >; x; rel y^-1 x^3")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,14 @@ import pytest
 from relasph.coset import context_for
 from relasph.stargraph import (
     NegativeCycleError,
+    _canonical_cycle,
     admissible_cycles,
     build_star_graph,
+    has_negative_cycle,
     min_admissible_cycle_weight,
     to_dot,
 )
+from relasph.weights import _candidate_values
 from relasph.words import (
     C,
     RelativePresentation,
@@ -220,6 +224,124 @@ def test_no_admissible_cycle_returns_none():
     # the only unoriented edge gives cycles e e^-1 ... all non-reduced; no
     # admissible cycle exists
     assert got is None
+
+
+def _rational_min_weight(graph, theta, ctx, max_len=None):
+    """Reference for min_admissible_cycle_weight: the same level-by-level
+    search on Fraction weights, (vertex, coset, last edge) tuple states and
+    a trace of the label per relaxation."""
+    table = ctx.regular_table()
+    edges = graph.edges
+
+    def w(e):
+        return theta[min(e.eid, e.partner)]
+
+    verts = {}
+    for e in edges:
+        verts.setdefault(e.source, []).append(e)
+    dist = {e.eid: Fraction(0) for e in edges}
+    for _ in range(len(edges) + 1):
+        changed = False
+        for e in edges:
+            de = dist[e.eid]
+            for f in verts.get(e.target, ()):
+                if f.eid == e.partner:
+                    continue
+                nd = de + w(f)
+                if nd < dist[f.eid]:
+                    dist[f.eid] = nd
+                    changed = True
+        if not changed:
+            break
+    else:
+        raise NegativeCycleError("negative cyclically reduced cycle detected")
+
+    best = None
+    best_cycle = None
+    for start in edges:
+        c0 = table.trace(1, start.label)
+        init = (start.target, c0, start.eid)
+        dist2 = {init: Fraction(0)}
+        pred = {init: None}
+        frontier = [init]
+        steps = 0
+        limit = (max_len - 1) if max_len is not None else None
+        while frontier:
+            if limit is not None and steps >= limit:
+                break
+            steps += 1
+            new_frontier = []
+            for st in frontier:
+                v, c, last = st
+                d = dist2[st]
+                for f in verts.get(v, ()):
+                    if f.eid == edges[last].partner:
+                        continue
+                    c2 = table.trace(c, f.label)
+                    st2 = (f.target, c2, f.eid)
+                    nd = d + w(f)
+                    if st2 not in dist2 or nd < dist2[st2]:
+                        dist2[st2] = nd
+                        pred[st2] = st
+                        new_frontier.append(st2)
+            frontier = new_frontier
+        for st, d in dist2.items():
+            v, c, last = st
+            if v == start.source and c == 1 and last != start.partner:
+                total = d + w(start)
+                if best is None or total < best:
+                    ids = []
+                    cur = st
+                    while cur is not None:
+                        ids.append(cur[2])
+                        cur = pred[cur]
+                    ids.reverse()
+                    best = total
+                    best_cycle = tuple(ids)
+    if best is None:
+        return None
+    return best, _canonical_cycle(best_cycle, graph)
+
+
+def test_min_weight_matches_rational_reference():
+    """The integer pass returns the reference's weight and witness cycle,
+    None or NegativeCycleError on a seeded grid over Z_n."""
+    rng = random.Random(20261018)
+    values = _candidate_values(3)
+    mixed = values + [Fraction(p, q) for q in (7, 11) for p in range(-q, q + 1)]
+    outcomes = set()
+    for _ in range(250):
+        n = rng.randint(2, 12)
+        l = rng.randint(1, 4)
+        k = rng.choice([k for k in range(-4, 5) if k])
+        a, b = rng.randint(1, n - 1), rng.randint(1, n - 1)
+        G = cyclic(n)
+        w = fpw(xsyl("x", l), csyl((("g", a),)), xsyl("x", k), csyl((("g", b),)))
+        graph = build_star_graph(RelativePresentation(G, ("x",), (w,)))
+        ctx = context_for(G, 1000)
+        # a floor per instance: all-negative draws only find negative cycles
+        floor = rng.choice((-1, Fraction(-1, 3), 0, 0, Fraction(1, 3)))
+        pool = [v for v in rng.choice((values, mixed)) if v >= floor]
+        theta = {pid: rng.choice(pool) for pid in graph.pair_ids()}
+        for max_len in (None, 3, 5):
+            try:
+                want = _rational_min_weight(graph, theta, ctx, max_len)
+            except NegativeCycleError:
+                want = NegativeCycleError
+            try:
+                got = min_admissible_cycle_weight(graph, theta, ctx, max_len)
+            except NegativeCycleError:
+                got = NegativeCycleError
+            case = (n, l, k, a, b, theta, max_len)
+            assert got == want, case
+            if isinstance(got, tuple):
+                assert str(got[0]) == str(want[0]), case
+                outcomes.add("weight")
+            else:
+                outcomes.add(got)
+        assert has_negative_cycle(graph, theta) == (want is NegativeCycleError)
+    # the grid reaches every kind of outcome
+    assert outcomes == {"weight", None, NegativeCycleError}
 
 
 def test_dot_export():
