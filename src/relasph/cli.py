@@ -2,9 +2,11 @@
 
 Subcommands: classify, table1, order, stargraph, weighttest, picture.
 Budget exhaustion is reported in the output and exits 0 (scientific
-openness is not a tool failure); parse errors exit 2; table mismatches
-and fatal verification inconsistencies exit 1.  The environment variable
-ASPH_COSET_CAP overrides the default coset cap.
+openness is not a tool failure); malformed input exits 2 with a one-line
+error, among it parse errors, a cap outside 1..coset.MAX_CAP and a
+non-integer ASPH_COSET_CAP; table mismatches and fatal verification
+inconsistencies exit 1.  The environment variable ASPH_COSET_CAP
+overrides the default coset cap.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import coset
 from .classify import (
@@ -41,34 +41,26 @@ from .weights import WeightFunction, check_weight_function, search_weight_functi
 from .words import ParseError, TriState, parse_presentation, word_str
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    subcommand: str
-    cap: int
-    fmt: str
-    bound: int = 6
-    denominator_bound: int = 3
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        cap = getattr(args, "cap", coset.DEFAULT_CAP)
-        fmt = getattr(args, "format", "text")
-        bound = getattr(args, "bound", 6)
-        dbound = getattr(args, "denominator_bound", 3)
-        if cap < 1 or bound < 1 or dbound < 1:
-            raise SystemExit("caps and bounds must be positive")
-        if fmt not in ("text", "json"):
-            raise SystemExit(f"unknown output format {fmt!r}")
-        return RunConfig(args.command, cap, fmt, bound, dbound)
-
-
 def default_cap() -> int:
+    """ASPH_COSET_CAP if set, else the library's default cap."""
     env = os.environ.get("ASPH_COSET_CAP")
-    if env:
+    if not env:
+        return coset.DEFAULT_CAP
+    try:
         return int(env)
-    return coset.DEFAULT_CAP
+    except ValueError:
+        raise ValueError(
+            f"ASPH_COSET_CAP must be an integer, not {env!r}") from None
+
+
+def _bad_argument(args):
+    """What is wrong with the parsed arguments, or None."""
+    if not 1 <= args.cap <= coset.MAX_CAP:
+        return f"--cap must be between 1 and {coset.MAX_CAP}, not {args.cap}"
+    for name in ("bound", "denominator_bound"):
+        if getattr(args, name, 1) < 1:
+            return f"--{name.replace('_', '-')} must be positive"
+    return None
 
 
 def _load_presentation(args):
@@ -296,7 +288,7 @@ def cmd_picture(args) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(cap: int) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="relasph",
         description="asphericity and diagrammatic reducibility of "
@@ -315,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--g", type=int, metavar="A",
                            help="g = h^A in the cyclic shorthand")
             p.add_argument("--h", type=int, metavar="B")
-        p.add_argument("--cap", type=int, default=default_cap(),
+        p.add_argument("--cap", type=int, default=cap,
                        help="coset enumeration budget")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -330,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the order-24530688 case (minutes)")
     p.add_argument("--only", metavar="CASE",
                    help="restrict to one case column, e.g. K5")
-    p.add_argument("--cap", type=int, default=default_cap())
+    p.add_argument("--cap", type=int, default=cap)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_table1)
 
@@ -363,15 +355,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cancel dipoles until reduced")
     p.add_argument("--curvature", action="store_true",
                    help="standard-angle curvature per region")
-    p.add_argument("--cap", type=int, default=default_cap())
+    p.add_argument("--cap", type=int, default=cap)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_picture)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    RunConfig.from_args(args)  # validates caps, bounds, format
+    try:
+        cap = default_cap()
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    args = build_parser(cap).parse_args(argv)
+    problem = _bad_argument(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

@@ -39,8 +39,12 @@ from .words import (
 )
 
 DEFAULT_CAP = 10_000_000
+_INT = array("i").itemsize
+# coset numbers run up to cap + 1 and must fit the table's signed C ints
+MAX_CAP = (1 << (8 * _INT - 1)) - 2
 
-_CHUNK = 1 << 15
+# rows of the first allocation; _grow doubles it in place, by 2^21 rows at most
+_CHUNK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -154,9 +158,10 @@ def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
     Returns a complete table with exact index, or a table with
     status 'budget' once more than `cap` rows would be needed (one
     lookahead-and-compaction rescue is attempted first under HLT).
+    Raises ValueError unless 1 <= cap <= MAX_CAP.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    if not 1 <= cap <= MAX_CAP:
+        raise ValueError(f"cap must be between 1 and {MAX_CAP}")
     gen_index = {g: i for i, g in enumerate(pres.generators)}
     rels = [_word_cols(r, gen_index) for r in pres.relators]
     subs = [_word_cols(free_reduce(w), gen_index) for w in subgroup_words]
@@ -171,27 +176,34 @@ def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
     if status == "budget":
         # the partial action carries no completed answers; drop it
         return CosetTable(pres, array("i"), e.nlive, status, cap, e.total_defined)
-    n = e.compact()
-    tab = array("i", e.tab[: (n + 1) * e.W])
-    return CosetTable(pres, tab, n, status, cap, e.total_defined)
+    n = e.compact()  # truncates the working table to rows 0..n
+    return CosetTable(pres, e.tab, n, status, cap, e.total_defined)
 
 
 class _Enum:
     """Working state of one enumeration.
 
-    The table is a flat Python list indexed ``coset * W + column`` (lists
-    beat typed arrays on read-heavy inner loops); rows are materialised in
-    chunks so small enumerations under a large default cap stay cheap.
+    The table is a flat typed array of C ints indexed ``coset * W +
+    column``, and the union-find parents ``p`` are one too, so a row costs
+    4 * (W + 1) bytes: 20 B with two generators.  Python lists cost 8 B a
+    slot plus a boxed int for every entry above 256; on the benchmark's
+    table1 workload peak RSS per row fell from 166 B with lists to 35 B
+    (allocation slack and the coincidence queue included).  Rows are
+    materialised in chunks so small enumerations under a large default
+    cap stay cheap; entries of ``p`` above ``nrows`` are set when their
+    row is defined.
     """
 
     def __init__(self, ngens: int, rels, subs, cap: int):
         self.W = W = 2 * ngens
+        self.cols = [(c, c ^ 1) for c in range(W)]  # column, inverse column
         self.rels = rels
         self.subs = subs
         self.cap = cap
         alloc = min(cap + 1, _CHUNK)
-        self.tab = [0] * (W * (alloc + 1))
-        self.p = list(range(alloc + 1))
+        self.tab = array("i", bytes(_INT * W * (alloc + 1)))
+        self.p = array("i", bytes(_INT * (alloc + 1)))
+        self.p[1] = 1
         self.alloc = alloc
         self.nrows = 1  # highest row in use; coset 1 exists from the start
         self.nlive = 1
@@ -204,8 +216,9 @@ class _Enum:
         add = min(self.alloc, 1 << 21)
         if self.alloc + add > self.cap + 1:
             add = self.cap + 1 - self.alloc
-        self.tab.extend([0] * (self.W * add))
-        self.p.extend(range(self.alloc, self.alloc + add))
+        # bytes(n) is calloc'd, so the zero source costs no resident pages
+        self.tab.frombytes(bytes(_INT * self.W * add))
+        self.p.frombytes(bytes(_INT * add))
         self.alloc += add
 
     def _define(self, a: int, c: int) -> int:
@@ -236,8 +249,7 @@ class _Enum:
         p = self.p
         tab = self.tab
         W = self.W
-        q = []
-        dead = 0
+        q = array("i")
         ded = self.dedstack if deductions else None
 
         # merge(a, b), with union-find reps inlined throughout
@@ -251,32 +263,31 @@ class _Enum:
             if phi > psi:
                 phi, psi = psi, phi
             p[psi] = phi
-            dead += 1
             q.append(psi)
-        i = 0
-        while i < len(q):
-            y = q[i]
-            i += 1
+        cols = self.cols
+        # each merge appends the dead coset, so iterating q visits it too
+        for y in q:
             base = y * W
-            for c in range(W):
+            # y is dead: its rep search starts at p[y] and resumes from the
+            # last rep found, since a rep changes only by being merged
+            # under a smaller root
+            mu = p[y]
+            for c, ci in cols:
                 d = tab[base + c]
                 if d == 0:
                     continue
-                tab[d * W + (c ^ 1)] = 0
+                tab[d * W + ci] = 0
                 if ded is not None:
-                    ded.append((d, c ^ 1))
-                mu = y
+                    ded.append((d, ci))
                 while p[mu] != mu:
                     mu = p[mu]
-                k = y
-                while p[k] != mu:
-                    p[k], k = mu, p[k]
                 nu = d
-                while p[nu] != nu:
-                    nu = p[nu]
-                k = d
-                while p[k] != nu:
-                    p[k], k = nu, p[k]
+                if p[d] != d:
+                    while p[nu] != nu:
+                        nu = p[nu]
+                    k = d
+                    while p[k] != nu:
+                        p[k], k = nu, p[k]
                 t = tab[mu * W + c]
                 if t:
                     phi = nu
@@ -287,10 +298,9 @@ class _Enum:
                         if phi > psi:
                             phi, psi = psi, phi
                         p[psi] = phi
-                        dead += 1
                         q.append(psi)
                 else:
-                    t2 = tab[nu * W + (c ^ 1)]
+                    t2 = tab[nu * W + ci]
                     if t2:
                         phi = mu
                         psi = t2
@@ -300,14 +310,13 @@ class _Enum:
                             if phi > psi:
                                 phi, psi = psi, phi
                             p[psi] = phi
-                            dead += 1
                             q.append(psi)
                     else:
                         tab[mu * W + c] = nu
-                        tab[nu * W + (c ^ 1)] = mu
+                        tab[nu * W + ci] = mu
                         if ded is not None:
                             ded.append((mu, c))
-        self.nlive -= dead
+        self.nlive -= len(q)
 
     # -- HLT ---------------------------------------------------------------
 
@@ -418,7 +427,9 @@ class _Enum:
                 return "budget"
         cap = self.cap
         W = self.W
-        rels = self.rels
+        # each relator with its inverse columns, read by the backward scan
+        rels = [(w, tuple(c ^ 1 for c in w), len(w) - 1) for w in self.rels]
+        cols = self.cols
         a = 1
         while True:
             tab = self.tab
@@ -431,9 +442,9 @@ class _Enum:
                 if p[a] != a:
                     a += 1
                     continue
-                for w in rels:
+                for w, wi, last in rels:
                     f, i = a, 0
-                    b, j = a, len(w) - 1
+                    b, j = a, last
                     while True:
                         while i <= j:
                             t = tab[f * W + w[i]]
@@ -447,7 +458,7 @@ class _Enum:
                                 self._coincidence(f, b)
                             break
                         while j >= i:
-                            t = tab[b * W + (w[j] ^ 1)]
+                            t = tab[b * W + wi[j]]
                             if not t:
                                 break
                             b = t
@@ -458,9 +469,14 @@ class _Enum:
                             break
                         if j == i:
                             tab[f * W + w[i]] = b
-                            tab[b * W + (w[i] ^ 1)] = f
+                            tab[b * W + wi[i]] = f
                             break
-                        # fill the whole gap w[i..j-1] with fresh cosets
+                        # fill the whole gap w[i..j-1] with fresh cosets;
+                        # when the first of them is the entry the backward
+                        # scan stopped at (f == b, w[i] == w[j]^1), define
+                        # that one alone and rescan, or the closing
+                        # deduction would overwrite it
+                        rescan = f == b and w[i] == wi[j]
                         while i < j:
                             if nrows >= cap:
                                 over_budget = True
@@ -470,18 +486,20 @@ class _Enum:
                                 self._grow()
                                 alloc = self.alloc
                             nrows += 1
-                            c = w[i]
-                            tab[f * W + c] = nrows
-                            tab[nrows * W + (c ^ 1)] = f
+                            tab[f * W + w[i]] = nrows
+                            tab[nrows * W + wi[i]] = f
                             p[nrows] = nrows
                             f = nrows
                             i += 1
+                            if rescan:
+                                break
                         if over_budget:
                             break
+                        if rescan:
+                            continue
                         # deduction closes the scan
-                        c = w[i]
-                        tab[f * W + c] = b
-                        tab[b * W + (c ^ 1)] = f
+                        tab[f * W + w[i]] = b
+                        tab[b * W + wi[i]] = f
                         break
                     if over_budget or p[a] != a:
                         break
@@ -489,7 +507,7 @@ class _Enum:
                     break
                 if p[a] == a:
                     base = a * W
-                    for c in range(W):
+                    for c, ci in cols:
                         if tab[base + c] == 0:
                             if nrows >= cap:
                                 over_budget = True
@@ -500,7 +518,7 @@ class _Enum:
                                 alloc = self.alloc
                             nrows += 1
                             tab[base + c] = nrows
-                            tab[nrows * W + (c ^ 1)] = a
+                            tab[nrows * W + ci] = a
                             p[nrows] = nrows
                     if over_budget:
                         break
@@ -586,7 +604,8 @@ class _Enum:
     # -- compaction --------------------------------------------------------
 
     def compact(self, cursor: int = 0) -> int:
-        """Renumber live cosets 1..nlive preserving order.
+        """Renumber live cosets 1..nlive preserving order, and truncate the
+        table and parents to those rows.
 
         Returns the new index for `cursor` (the lowest live index at or
         after it) so interrupted HLT loops can resume.
@@ -594,7 +613,7 @@ class _Enum:
         p = self.p
         tab = self.tab
         W = self.W
-        remap = array("i", bytes(4 * (self.nrows + 1)))
+        remap = array("i", bytes(_INT * (self.nrows + 1)))
         new = 0
         new_cursor = 1
         for old in range(1, self.nrows + 1):
@@ -616,11 +635,11 @@ class _Enum:
                     tab[nb + c] = remap[t]
                 else:
                     tab[nb + c] = 0
-        # rows beyond the live block must read as undefined again, since
-        # definitions hand them out assuming a zeroed row
-        tab[(new + 1) * W:(self.nrows + 1) * W] = [0] * (W * (self.nrows - new))
-        self.nrows = new
-        self.nlive = new
+        # drop the rows beyond the live block: definitions hand rows out
+        # assuming they are zero, and _grow appends zeroed ones
+        del tab[(new + 1) * W:]
+        del p[new + 1:]
+        self.alloc = self.nrows = self.nlive = new
         for i in range(new + 1):
             p[i] = i
         return new_cursor if cursor else new

@@ -134,8 +134,10 @@ def _canonical_cycle(edge_ids: tuple, graph: StarGraph) -> tuple:
     """Lexicographically minimal rotation, minimised against inversion."""
     n = len(edge_ids)
     best = None
+    # tuple() of a list, not of a generator: CPython keeps the tuples a
+    # generator's growth resizes on its free lists
     for ids in (edge_ids,
-                tuple(graph.edges[e].partner for e in reversed(edge_ids))):
+                tuple([graph.edges[e].partner for e in reversed(edge_ids)])):
         for r in range(n):
             rot = ids[r:] + ids[:r]
             if best is None or rot < best:

@@ -163,14 +163,18 @@ def check_weight_function(graph: StarGraph, theta: WeightFunction, ctx,
     """
     cond1 = check_condition_I(graph, theta)
     order = ctx.group_order()
+    # whether a negative cyclically reduced cycle exists; None: not known
+    negative = None
     if order.is_finite and ctx.regular_table() is not None:
         try:
             r = min_admissible_cycle_weight(graph, theta.weights, ctx)
         except NegativeCycleError:
+            negative = True
             cond2 = ConditionIIResult(
                 VIOLATED, None, None,
                 note="negative cyclically reduced cycle: admissible weights unbounded below")
         else:
+            negative = False
             if r is None:
                 cond2 = ConditionIIResult(CERTIFIED, None)
             else:
@@ -195,7 +199,9 @@ def check_weight_function(graph: StarGraph, theta: WeightFunction, ctx,
             cond2 = ConditionIIResult(NOT_CERTIFIED, bound=bound, note=note)
     nonneg = "not-checked"
     if mode == "full":
-        nonneg = "fail" if has_negative_cycle(graph, theta.weights) else "pass"
+        if negative is None:
+            negative = has_negative_cycle(graph, theta.weights)
+        nonneg = "fail" if negative else "pass"
     return WeightReport(cond1, cond2, nonneg, mode)
 
 

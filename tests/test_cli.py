@@ -5,6 +5,7 @@ import json
 import pytest
 
 from relasph.cli import main
+from relasph.coset import MAX_CAP
 
 
 def run(capsys, *argv):
@@ -100,6 +101,30 @@ def test_weighttest_zero_denominator_exits_2(tmp_path, capsys):
     rc, out, err = run(capsys, "weighttest", str(f), str(w))
     assert rc == 2 and out == ""
     assert err.startswith("error: line 2:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", str(MAX_CAP + 1)])
+def test_cap_out_of_range_exits_2(capsys, cap):
+    rc, out, err = run(capsys, "order", "--cyclic", "5", "--l", "2",
+                       "--k", "-1", "--g", "2", "--h", "1", "--cap", cap)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: --cap must be between") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("env", ["abc", "1e6", "0"])
+def test_bad_cap_environment_exits_2(monkeypatch, capsys, env):
+    monkeypatch.setenv("ASPH_COSET_CAP", env)
+    rc, out, err = run(capsys, "table1", "--only", "L6")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cap_environment_sets_the_default(monkeypatch, capsys):
+    monkeypatch.setenv("ASPH_COSET_CAP", "2000")
+    f = ("order", "--cyclic", "2", "--l", "2", "--k", "2", "--g", "1",
+         "--h", "1")
+    rc, out, _ = run(capsys, *f)
+    assert rc == 0 and out.strip() == "ExceedsBudget(2000)"
 
 
 def test_weighttest_search(tmp_path, capsys):

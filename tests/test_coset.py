@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from relasph.classify import TABLE1_FIXTURES
 from relasph.coset import (
+    MAX_CAP,
     GroupContext,
     LiftedPresentation,
     abelian_order_of_word,
@@ -35,6 +39,12 @@ Q8 = P(["a", "b"], [[("a", 4)], [("a", 2), ("b", -2)],
 A5 = P(["a", "b"], [[("a", 2)], [("b", 3)], [("a", 1), ("b", 1)] * 5])
 PSL27 = P(["a", "b"], [[("a", 2)], [("b", 3)], [("a", 1), ("b", 1)] * 7,
                        [("a", -1), ("b", -1), ("a", 1), ("b", 1)] * 4])
+F25 = P([f"x{i}" for i in range(5)],
+        [[(f"x{i}", 1), (f"x{(i + 1) % 5}", 1), (f"x{(i + 2) % 5}", -1)]
+         for i in range(5)])
+# the (2,3,7) triangle group: infinite, so every enumeration of it ends in
+# the budget path
+VD = P(["a", "b"], [[("a", 2)], [("b", 3)], [("a", 1), ("b", 1)] * 7])
 
 
 def test_cyclic_orders_1_to_64():
@@ -52,10 +62,7 @@ def test_known_orders_both_strategies(pres, order):
 
 
 def test_fibonacci_f25():
-    gens = [f"x{i}" for i in range(5)]
-    rels = [[(f"x{i}", 1), (f"x{(i + 1) % 5}", 1), (f"x{(i + 2) % 5}", -1)]
-            for i in range(5)]
-    t = enumerate_cosets(P(gens, rels), [], 10 ** 4)
+    t = enumerate_cosets(F25, [], 10 ** 4)
     t.check()
     assert t.n == 11
 
@@ -70,8 +77,14 @@ def test_subgroup_index():
 def test_budget_is_a_value():
     t = enumerate_cosets(P(["g"], []), [], 1000)
     assert t.status == "budget" and not t.complete
-    vd = P(["a", "b"], [[("a", 2)], [("b", 3)], [("a", 1), ("b", 1)] * 7])
-    assert enumerate_cosets(vd, [], 5000).status == "budget"
+    assert enumerate_cosets(VD, [], 5000).status == "budget"
+
+
+def test_cap_must_fit_the_table_entries():
+    for cap in (0, MAX_CAP + 1):
+        with pytest.raises(ValueError, match="cap must be between"):
+            enumerate_cosets(S3, [], cap)
+    assert enumerate_cosets(S3, [], MAX_CAP).n == 6
 
 
 def test_lookahead_rescue_completes_a5():
@@ -210,8 +223,8 @@ def test_group_order_helper():
 
 def test_strategies_agree_on_fixture_battery():
     """HLT and Felsch must produce the same index on every catalog fixture
-    (enumerated over the cyclic coefficient subgroup to stay desk-scale)."""
-    from relasph.classify import TABLE1_FIXTURES
+    (enumerated over the cyclic coefficient subgroup to stay desk-scale),
+    each in a table that passes check()."""
     for fix in TABLE1_FIXTURES:
         lifted = fix.instance().lifted()
         hlt = enumerate_cosets(lifted, [(("h", 1),)], 3 * 10 ** 6)
@@ -219,3 +232,68 @@ def test_strategies_agree_on_fixture_battery():
                                   strategy="felsch")
         assert hlt.complete and felsch.complete, fix.name
         assert hlt.n == felsch.n == fix.expected_order // fix.n, fix.name
+        hlt.check()
+        felsch.check()
+
+
+def test_hlt_gap_fill_does_not_overwrite_its_first_definition():
+    """When an HLT relator scan leaves a gap whose first entry is the one
+    the backward scan stopped at (f == b and w[i] == w[j]^-1), the closing
+    deduction must not overwrite the coset defined there: every complete
+    table passes check()."""
+    pres = lift(parse_presentation("group <h | h^6>; x; rel x^2 h^3 x^-1 h"))
+    t = enumerate_cosets(pres, [(("h", 1),)], 1000)
+    assert t.complete and t.n == 9  # the {2,-1} L6 fixture: 54 / 6
+    t.check()
+    s3z3 = lift(parse_presentation(
+        "group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>; x; "
+        "rel x^2 g x^-1 h"))
+    t = enumerate_cosets(s3z3, [(("g", 1),)], 10 ** 5)
+    assert t.complete and t.n == 13608
+    t.check()
+
+
+_GUARD_GROUPS = {"S3": S3, "Q8": Q8, "A5": A5, "PSL27": PSL27, "F25": F25,
+                 "VD": VD}
+# (group, strategy, cap, status, index, total_defined, sha256 of the table's
+# bytes, first 16 hex digits), recorded from the list-based enumerator; the
+# typed-array table must make the same definitions in the same order.
+# {4,1} K5 is left out: its regular table takes 3e6 definitions.
+_GUARD = (
+    ("S3", "hlt", 10000, "complete", 6, 6, "62f8ea117b5cdf4e"),
+    ("S3", "felsch", 10000, "complete", 6, 6, "62f8ea117b5cdf4e"),
+    ("Q8", "hlt", 10000, "complete", 8, 8, "b74a71fad8bcc7f8"),
+    ("Q8", "felsch", 10000, "complete", 8, 8, "d3f84356d9bc5adc"),
+    ("A5", "hlt", 10000, "complete", 60, 82, "2f7639a2f836f783"),
+    ("A5", "felsch", 10000, "complete", 60, 60, "aed1b90b53555cbe"),
+    ("PSL27", "hlt", 10000, "complete", 168, 542, "36f3abf10a120225"),
+    ("PSL27", "felsch", 10000, "complete", 168, 168, "e04d37cf8ddd7e43"),
+    ("F25", "hlt", 10000, "complete", 11, 165, "74ed9832d714d864"),
+    ("F25", "felsch", 10000, "complete", 11, 42, "cd041d32f5696142"),
+    # the lookahead-and-compaction rescue, completing and at the budget
+    ("A5", "hlt", 70, "complete", 60, 74, "2f7639a2f836f783"),
+    ("VD", "hlt", 1000, "budget", 987, 1131, "e3b0c44298fc1c14"),
+    ("VD", "felsch", 1000, "budget", 1000, 1000, "e3b0c44298fc1c14"),
+    ("{2,1} K5", "hlt", 3000000, "complete", 165, 336, "d48697a9fd271f0c"),
+    ("{2,1} K6+", "hlt", 3000000, "complete", 378, 838, "d8a4008d6ca3411e"),
+    ("{2,1} K6-", "hlt", 3000000, "complete", 342, 1948, "43cbe56215b337e7"),
+    ("{2,1} L6", "hlt", 3000000, "complete", 342, 1879, "18814e0e69b444e8"),
+    ("{3,1} K5", "hlt", 3000000, "complete", 1100, 7179, "a9ccf52c2616ca57"),
+    ("{3,2} K5", "hlt", 3000000, "complete", 2525, 9910, "0ee89d109d878479"),
+    ("{2,-1} K5", "hlt", 3000000, "complete", 55, 341, "24b1505e4bfb9e6c"),
+    ("{2,-1} K6+", "hlt", 3000000, "complete", 336, 862, "c65c10315fc3578d"),
+    ("{2,-1} L6", "hlt", 3000000, "complete", 54, 211, "df96fefce160ffe1"),
+    ("{3,-1} K5", "hlt", 3000000, "complete", 110, 21636, "a55cc193605de637"),
+    ("{3,-1} L6", "hlt", 3000000, "complete", 9072, 29573, "6070025186a1b8bc"),
+)
+
+
+def test_tables_identical_to_the_list_enumerator():
+    fixtures = {f.name: f for f in TABLE1_FIXTURES}
+    for group, strategy, cap, status, n, defined, digest in _GUARD:
+        pres = (_GUARD_GROUPS[group] if group in _GUARD_GROUPS
+                else fixtures[group].instance().lifted())
+        t = enumerate_cosets(pres, [], cap, strategy=strategy)
+        got = (t.status, t.n, t.total_defined,
+               hashlib.sha256(t.tab.tobytes()).hexdigest()[:16])
+        assert got == (status, n, defined, digest), (group, strategy, cap)

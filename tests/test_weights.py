@@ -117,6 +117,38 @@ def test_negative_cycle_is_violation():
     assert report.nonneg_cycles == "fail"
 
 
+def test_full_check_runs_one_bellman_ford(monkeypatch):
+    """Over a finite group the exact condition-II pass has already decided
+    whether a negative cycle exists, and mode='full' reuses that answer;
+    otherwise the Bellman-Ford runs once for the non-negative-cycle check."""
+    from relasph import stargraph, weights
+    real = stargraph.has_negative_cycle
+    calls = []
+
+    def counting(graph, theta):
+        calls.append(1)
+        return real(graph, theta)
+
+    monkeypatch.setattr(stargraph, "has_negative_cycle", counting)
+    monkeypatch.setattr(weights, "has_negative_cycle", counting)
+    G = cyclic(2)
+    p = RelativePresentation(G, ("x",), (fpw(xsyl("x", 3), csyl((("g", 1),))),))
+    graph = build_star_graph(p)
+    ctx = context_for(G, 1000)
+    for value, nonneg in ((Fraction(1, 3), "pass"), (-1, "fail")):
+        calls.clear()
+        report = check_weight_function(
+            graph, WeightFunction.uniform(graph, value), ctx, mode="full")
+        assert report.nonneg_cycles == nonneg and len(calls) == 1
+    graph, ctx = root_adjunction(3)
+    for theta in (marked_weights(graph, -1, 1), WeightFunction.uniform(graph, -1)):
+        calls.clear()
+        report = check_weight_function(graph, theta, ctx, mode="full")
+        assert len(calls) == 1
+        assert report.nonneg_cycles == ("fail" if real(graph, theta.weights)
+                                        else "pass")
+
+
 def test_symmetry_and_totality_enforced():
     graph, _ = root_adjunction(3)
     with pytest.raises(ValueError, match="not total"):
