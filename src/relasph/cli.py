@@ -3,8 +3,9 @@
 Subcommands: classify, table1, order, stargraph, weighttest, picture.
 Budget exhaustion is reported in the output and exits 0 (scientific
 openness is not a tool failure); malformed input exits 2 with a one-line
-error, among it parse errors, a cap outside 1..coset.MAX_CAP and a
-non-integer ASPH_COSET_CAP; table mismatches and fatal verification
+error, among it parse errors, a cap outside 1..coset.MAX_CAP, a
+non-integer ASPH_COSET_CAP, a bad --subgroup word and a malformed picture
+file; table mismatches and fatal verification
 inconsistencies exit 1.  The environment variable ASPH_COSET_CAP
 overrides the default coset cap.
 """
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import coset
 from .classify import (
@@ -27,7 +29,7 @@ from .classify import (
     instance_from_presentation,
     verify_verdict,
 )
-from .coset import enumerate_cosets, lift, order_via_cyclic_subgroup
+from .coset import enumerate_cosets, lift
 from .pictures import (
     cancel_dipole,
     curvature,
@@ -38,7 +40,7 @@ from .pictures import (
 )
 from .stargraph import build_star_graph, to_dot
 from .weights import WeightFunction, check_weight_function, search_weight_function
-from .words import ParseError, TriState, parse_presentation, word_str
+from .words import ParseError, TriState, parse_presentation, parse_word, word_str
 
 
 def default_cap() -> int:
@@ -170,9 +172,16 @@ def cmd_order(args) -> int:
     lifted = lift(pres)
     subgroup = []
     if args.subgroup:
-        for chunk in args.subgroup.split(","):
-            from .pictures import _parse_corner_word
-            subgroup.append(_parse_corner_word(chunk))
+        try:
+            subgroup = [parse_word(chunk) for chunk in args.subgroup.split(",")]
+        except ValueError as err:
+            print(f"error: --subgroup: {err}", file=sys.stderr)
+            return 2
+        unknown = {g for w in subgroup for g, _ in w} - set(lifted.generators)
+        if unknown:
+            print(f"error: --subgroup: unknown generator {min(unknown)!r}",
+                  file=sys.stderr)
+            return 2
     t = enumerate_cosets(lifted, subgroup, args.cap, strategy=args.strategy)
     if t.complete:
         print(f"Finite({t.n})" if not subgroup else f"Index({t.n})")
@@ -247,13 +256,12 @@ def cmd_weighttest(args) -> int:
 
 def cmd_picture(args) -> int:
     try:
-        text = open(args.picture).read()
-    except OSError as err:
+        pic, pres = picture_from_json(Path(args.picture).read_text())
+        if args.presentation:
+            pres = parse_presentation(Path(args.presentation).read_text())
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    pic, pres = picture_from_json(text)
-    if args.presentation:
-        pres = parse_presentation(open(args.presentation).read())
     if pres is None:
         print("error: picture file carries no presentation; pass --presentation",
               file=sys.stderr)
@@ -334,8 +342,6 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("stargraph", help="star graph of a presentation")
     add_common(p)
-    p.add_argument("--dot", action="store_true",
-                   help="DOT output (default for text format)")
     p.set_defaults(fn=cmd_stargraph)
 
     p = sub.add_parser("weighttest", help="check or search weight functions")

@@ -6,13 +6,21 @@ enumerator follows the HLT (relator-based) strategy with lookahead and
 compaction as the default, with a Felsch (deduction-based) strategy
 available for cross-checking; both must produce the same index.
 
-Determinism: HLT processes cosets in increasing order, relators in input
-order, then fills generator columns in increasing column order; on table
-overflow it performs one lookahead pass (all relators at all live cosets,
-in order) followed by compaction, which renumbers live cosets preserving
-their relative order.  Felsch defines the first undefined entry of the
-lowest live coset and drains its deduction stack LIFO.  Budget exhaustion
-is a value (`status == "budget"`), never an error.
+Two scans do all the relator work.  `_scan_and_fill` fills a gap with new
+cosets (Holt's SCAN_AND_FILL); `_scan` never defines a coset and only
+applies a closing deduction or a coincidence.
+
+Determinism: both strategies first scan and fill each subgroup generator
+at coset 1, in input order.  HLT then processes cosets in increasing
+order, scanning and filling relators in input order, then fills generator
+columns in increasing column order; on table overflow it performs one
+lookahead pass (`_scan` of all relators at all live cosets, in order)
+followed by compaction, which renumbers live cosets preserving their
+relative order.  Felsch pushes every entry the subgroup scans made onto
+its deduction stack, then defines the first undefined entry of the lowest
+live coset; it drains the stack LIFO, with `_scan` of each relator
+rotation that starts with the deduced column.  Budget exhaustion is a
+value (`status == "budget"`), never an error.
 
 References: Holt, Eick, O'Brien, "Handbook of Computational Group
 Theory", chapter 5.
@@ -146,10 +154,6 @@ class CosetTable:
                 assert b == a, f"relator {rel} does not close at {a}"
 
 
-class _Budget(Exception):
-    pass
-
-
 def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
                      cap: int = DEFAULT_CAP, strategy: str = "hlt",
                      lookahead: bool = True) -> CosetTable:
@@ -222,8 +226,9 @@ class _Enum:
         self.alloc += add
 
     def _define(self, a: int, c: int) -> int:
+        """Define a new coset a^c; 0 once the cap is reached."""
         if self.nrows >= self.cap:
-            raise _Budget
+            return 0
         if self.nrows + 1 >= self.alloc:
             self._grow()
         b = self.nrows + 1
@@ -318,9 +323,15 @@ class _Enum:
                             ded.append((mu, c))
         self.nlive -= len(q)
 
-    # -- HLT ---------------------------------------------------------------
+    # -- the two scans ------------------------------------------------------
 
-    def _scan_and_fill(self, a: int, w) -> None:
+    def _scan_and_fill(self, a: int, w, wi) -> bool:
+        """Scan relator `w` (inverse columns `wi`) at coset `a`, filling
+        any gap with new cosets (Holt's SCAN_AND_FILL).
+
+        Returns True when the cap stopped it.  New rows raise ``nrows``
+        only; the caller counts them into ``nlive`` and ``total_defined``.
+        """
         tab = self.tab
         W = self.W
         f, i = a, 0
@@ -335,25 +346,53 @@ class _Enum:
             if i > j:
                 if f != b:
                     self._coincidence(f, b)
-                return
+                return False
             while j >= i:
-                t = tab[b * W + (w[j] ^ 1)]
+                t = tab[b * W + wi[j]]
                 if not t:
                     break
                 b = t
                 j -= 1
             if j < i:
                 self._coincidence(f, b)
-                return
+                return False
             if j == i:
                 tab[f * W + w[i]] = b
-                tab[b * W + (w[i] ^ 1)] = f
-                return
-            f = self._define(f, w[i])
-            i += 1
+                tab[b * W + wi[i]] = f
+                return False
+            # fill the whole gap w[i..j-1] with fresh cosets; when the
+            # first of them is the entry the backward scan stopped at
+            # (f == b, w[i] == w[j]^1), define that one alone and rescan,
+            # or the closing deduction would overwrite it
+            rescan = f == b and w[i] == wi[j]
+            p = self.p
+            nrows = self.nrows
+            while i < j:
+                if nrows >= self.cap:
+                    self.nrows = nrows
+                    return True
+                if nrows + 1 >= self.alloc:
+                    self.nrows = nrows
+                    self._grow()
+                nrows += 1
+                tab[f * W + w[i]] = nrows
+                tab[nrows * W + wi[i]] = f
+                p[nrows] = nrows
+                f = nrows
+                i += 1
+                if rescan:
+                    break
+            self.nrows = nrows
+            if rescan:
+                continue
+            # deduction closes the scan
+            tab[f * W + w[i]] = b
+            tab[b * W + wi[i]] = f
+            return False
 
     def _scan(self, a: int, w, deductions: bool = False) -> None:
-        """Scan without defining; apply complete scans and coincidences."""
+        """Scan relator `w` at coset `a` without defining a coset; apply a
+        closing deduction or coincidence, pushing deductions if asked."""
         tab = self.tab
         W = self.W
         f, i = a, 0
@@ -382,150 +421,76 @@ class _Enum:
             if deductions:
                 self.dedstack.append((f, w[i]))
 
+    def _fill_subgroup(self) -> bool:
+        """Scan and fill every subgroup generator at coset 1, counting the
+        new cosets; True when the cap stopped it."""
+        start = self.nrows
+        stopped = any(self._scan_and_fill(1, w, tuple(c ^ 1 for c in w))
+                      for w in self.subs)
+        self.nlive += self.nrows - start
+        self.total_defined += self.nrows - start
+        return stopped
+
+    # -- HLT ---------------------------------------------------------------
+
     def _lookahead(self):
         p = self.p
-        tab = self.tab
-        W = self.W
-        rels = self.rels
         for a in range(1, self.nrows + 1):
             if p[a] != a:
                 continue
-            for w in rels:
-                f, i = a, 0
-                b, j = a, len(w) - 1
-                while i <= j:
-                    t = tab[f * W + w[i]]
-                    if not t:
-                        break
-                    f = t
-                    i += 1
-                if i > j:
-                    if f != b:
-                        self._coincidence(f, b)
-                        if p[a] != a:
-                            break
-                    continue
-                while j >= i:
-                    t = tab[b * W + (w[j] ^ 1)]
-                    if not t:
-                        break
-                    b = t
-                    j -= 1
-                if j < i:
-                    self._coincidence(f, b)
-                    if p[a] != a:
-                        break
-                elif j == i:
-                    tab[f * W + w[i]] = b
-                    tab[b * W + (w[i] ^ 1)] = f
+            for w in self.rels:
+                self._scan(a, w)
+                if p[a] != a:
+                    break
 
     def run_hlt(self, lookahead: bool = True) -> str:
-        for w in self.subs:
-            try:
-                self._scan_and_fill(1, w)
-            except _Budget:
-                return "budget"
+        if self._fill_subgroup():
+            return "budget"
         cap = self.cap
         W = self.W
+        scan_and_fill = self._scan_and_fill
         # each relator with its inverse columns, read by the backward scan
-        rels = [(w, tuple(c ^ 1 for c in w), len(w) - 1) for w in self.rels]
+        rels = [(w, tuple(c ^ 1 for c in w)) for w in self.rels]
         cols = self.cols
         a = 1
         while True:
             tab = self.tab
             p = self.p
-            nrows = self.nrows
-            pass_start = nrows
-            alloc = self.alloc
+            pass_start = self.nrows
             over_budget = False
-            while a <= nrows:
+            while a <= self.nrows:
                 if p[a] != a:
                     a += 1
                     continue
-                for w, wi, last in rels:
-                    f, i = a, 0
-                    b, j = a, last
-                    while True:
-                        while i <= j:
-                            t = tab[f * W + w[i]]
-                            if not t:
-                                break
-                            f = t
-                            i += 1
-                        if i > j:
-                            if f != b:
-                                self.nrows = nrows
-                                self._coincidence(f, b)
-                            break
-                        while j >= i:
-                            t = tab[b * W + wi[j]]
-                            if not t:
-                                break
-                            b = t
-                            j -= 1
-                        if j < i:
-                            self.nrows = nrows
-                            self._coincidence(f, b)
-                            break
-                        if j == i:
-                            tab[f * W + w[i]] = b
-                            tab[b * W + wi[i]] = f
-                            break
-                        # fill the whole gap w[i..j-1] with fresh cosets;
-                        # when the first of them is the entry the backward
-                        # scan stopped at (f == b, w[i] == w[j]^1), define
-                        # that one alone and rescan, or the closing
-                        # deduction would overwrite it
-                        rescan = f == b and w[i] == wi[j]
-                        while i < j:
-                            if nrows >= cap:
-                                over_budget = True
-                                break
-                            if nrows + 1 >= alloc:
-                                self.nrows = nrows
-                                self._grow()
-                                alloc = self.alloc
-                            nrows += 1
-                            tab[f * W + w[i]] = nrows
-                            tab[nrows * W + wi[i]] = f
-                            p[nrows] = nrows
-                            f = nrows
-                            i += 1
-                            if rescan:
-                                break
-                        if over_budget:
-                            break
-                        if rescan:
-                            continue
-                        # deduction closes the scan
-                        tab[f * W + w[i]] = b
-                        tab[b * W + wi[i]] = f
+                for w, wi in rels:
+                    if scan_and_fill(a, w, wi):
+                        over_budget = True
                         break
-                    if over_budget or p[a] != a:
+                    if p[a] != a:
                         break
                 if over_budget:
                     break
                 if p[a] == a:
                     base = a * W
+                    nrows = self.nrows
                     for c, ci in cols:
                         if tab[base + c] == 0:
                             if nrows >= cap:
                                 over_budget = True
                                 break
-                            if nrows + 1 >= alloc:
+                            if nrows + 1 >= self.alloc:
                                 self.nrows = nrows
                                 self._grow()
-                                alloc = self.alloc
                             nrows += 1
                             tab[base + c] = nrows
                             tab[nrows * W + ci] = a
                             p[nrows] = nrows
+                    self.nrows = nrows
                     if over_budget:
                         break
                 a += 1
-            self.nrows = nrows
-            self.nlive += nrows - pass_start
-            self.total_defined += nrows - pass_start
+            self.nlive += self.nrows - pass_start
+            self.total_defined += self.nrows - pass_start
             if not over_budget:
                 return "complete"
             # lookahead-and-compact rescue; repeatable while it keeps
@@ -555,12 +520,17 @@ class _Enum:
         p = self.p
         tab = self.tab
         W = self.W
-        for w in self.subs:
-            try:
-                self._scan_and_fill(1, w)
-            except _Budget:
-                return "budget"
-            self._drain(by_col)
+        if self._fill_subgroup():
+            return "budget"
+        # every entry the subgroup scans made is a deduction (Holt, Eick,
+        # O'Brien section 5.2): without them a relator can stay open at a
+        # coset the main loop never revisits
+        for a in range(1, self.nrows + 1):
+            if p[a] == a:
+                for c in range(W):
+                    if tab[a * W + c]:
+                        self.dedstack.append((a, c))
+        self._drain(by_col)
         a = 1
         while a <= self.nrows:
             if p[a] != a:
@@ -571,9 +541,7 @@ class _Enum:
                 if p[a] != a:
                     break
                 if tab[a * W + c] == 0:
-                    try:
-                        b = self._define(a, c)
-                    except _Budget:
+                    if not self._define(a, c):
                         return "budget"
                     self.dedstack.append((a, c))
                     self._drain(by_col)

@@ -29,14 +29,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .words import (
+    ParseError,
     TriState,
     Word,
     cyclically_reduce,
-    free_reduce,
     invert_letter_form,
     letter_form,
     letters_equal,
     parse_presentation,
+    parse_word,
     rotate_letters,
     wmul,
     word_str,
@@ -632,35 +633,35 @@ def picture_to_json(pic: Picture, presentation_text: Optional[str] = None) -> st
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_corner_word(text: str) -> Word:
-    text = text.strip()
-    if text in ("", "1"):
-        return ()
-    syls = []
-    for token in text.split():
-        if "^" in token:
-            name, exp = token.split("^", 1)
-            syls.append((name, int(exp)))
-        else:
-            syls.append((token, 1))
-    return free_reduce(syls)
-
-
 def picture_from_json(text: str):
-    """Returns (Picture, presentation or None)."""
-    data = json.loads(text)
-    arcs = tuple(Arc(a["label"], a["orient"]) for a in data["arcs"])
-    discs = []
-    for d in data["discs"]:
-        items = []
-        for item in d["boundary"]:
-            if "arc" in item:
-                items.append((ARC, item["arc"], item["end"]))
-            else:
-                items.append((CORNER, _parse_corner_word(item["corner"])))
-        discs.append(Disc(tuple(items)))
-    outer = tuple((ARC, it["arc"], it["end"]) for it in data.get("outer", ()))
-    pres = None
-    if "presentation" in data:
-        pres = parse_presentation(data["presentation"])
+    """Returns (Picture, presentation or None).
+
+    Raises ValueError when the text is not JSON, lacks a key, has a value
+    of the wrong type, or embeds a presentation that does not parse.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"picture is not JSON: {err}") from None
+    try:
+        arcs = tuple(Arc(a["label"], a["orient"]) for a in data["arcs"])
+        discs = []
+        for d in data["discs"]:
+            items = []
+            for item in d["boundary"]:
+                if "arc" in item:
+                    items.append((ARC, item["arc"], item["end"]))
+                else:
+                    items.append((CORNER, parse_word(item["corner"])))
+            discs.append(Disc(tuple(items)))
+        outer = tuple((ARC, it["arc"], it["end"]) for it in data.get("outer", ()))
+        pres = None
+        if "presentation" in data:
+            pres = parse_presentation(data["presentation"])
+    except KeyError as err:
+        raise ValueError(f"picture lacks the key {err}") from None
+    except (TypeError, AttributeError) as err:
+        raise ValueError(f"malformed picture: {err}") from None
+    except ParseError as err:
+        raise ValueError(f"picture's presentation: {err}") from None
     return Picture(tuple(discs), arcs, outer), pres

@@ -86,7 +86,6 @@ class OrderResult:
 # a coefficient-group element is a freely reduced word over the group's
 # generators: tuple[tuple[str, int], ...]
 Word = tuple
-GroupElement = Word
 
 
 def free_reduce(syllables: Iterable[tuple]) -> Word:
@@ -113,15 +112,6 @@ def wmul(*words: Word) -> Word:
 
 def winv(w: Word) -> Word:
     return tuple((gen, -exp) for gen, exp in reversed(w))
-
-
-def wpow(w: Word, n: int) -> Word:
-    if n < 0:
-        return wpow(winv(w), -n)
-    out: Word = ()
-    for _ in range(n):
-        out = wmul(out, w)
-    return out
 
 
 def word_str(w: Word) -> str:
@@ -176,14 +166,6 @@ class CoefficientGroup:
             moduli[g] = abs(e) if m is None else gcd(m, abs(e))
         return moduli
 
-    def is_torsion_free(self) -> TriState:
-        factors = self.free_factors()
-        if factors is not None:
-            if all(m is None or m == 1 for m in factors.values()):
-                return TriState.YES
-            return TriState.NO
-        return TriState.UNKNOWN
-
 
 def cyclic_word_reduce(w: Word) -> Word:
     """Cyclically reduce a freely reduced one-group word."""
@@ -231,9 +213,6 @@ class FreeProductWord:
             else:
                 parts.append(word_str(s[1]))
         return " ".join(parts) if parts else "1"
-
-    def is_identity_syntactic(self) -> bool:
-        return not self.syllables
 
 
 def xsyl(letter: str, exp: int) -> tuple:
@@ -645,6 +624,25 @@ def _parse_word_tokens(tz: _Tokenizer) -> list:
     if not toks:
         tz.error("expected a word")
     return toks
+
+
+def parse_word(text: str) -> Word:
+    """Parse a coefficient word: whitespace-separated ``name`` or
+    ``name^int`` tokens, or ``1`` (or nothing) for the identity.
+
+    The word comes back freely reduced; ValueError on a bad exponent.
+    """
+    text = text.strip()
+    if text in ("", "1"):
+        return ()
+    syls = []
+    for token in text.split():
+        name, caret, exp = token.partition("^")
+        try:
+            syls.append((name, int(exp) if caret else 1))
+        except ValueError:
+            raise ValueError(f"bad exponent in {token!r}") from None
+    return free_reduce(syls)
 
 
 def parse_presentation(text: str) -> RelativePresentation:

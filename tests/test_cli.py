@@ -75,6 +75,27 @@ def test_order_subgroup(tmp_path, capsys):
     assert rc == 0 and out.strip() == "Index(295245)"
 
 
+def test_order_subgroup_felsch_agrees_with_hlt(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_text("group <h | h^2>; x; rel x")
+    for strategy in ("hlt", "felsch"):
+        rc, out, _ = run(capsys, "order", str(f), "--subgroup", "h^3",
+                         "--strategy", strategy)
+        assert rc == 0 and out.strip() == "Index(1)", strategy
+
+
+@pytest.mark.parametrize("word,message", [
+    ("h^x", "error: --subgroup: bad exponent in 'h^x'"),
+    ("h, q", "error: --subgroup: unknown generator 'q'"),
+], ids=("bad-exponent", "unknown-generator"))
+def test_order_bad_subgroup_exits_2(tmp_path, capsys, word, message):
+    f = tmp_path / "p.txt"
+    f.write_text("group <h | h^2>; x; rel x")
+    rc, out, err = run(capsys, "order", str(f), "--subgroup", word)
+    assert rc == 2 and out == ""
+    assert err == message + "\n"
+
+
 def test_stargraph_dot(capsys):
     rc, out, _ = run(capsys, "stargraph", "--cyclic", "8", "--l", "2",
                      "--k", "-1", "--g", "2", "--h", "1")
@@ -155,3 +176,32 @@ def test_table1_only_filter(capsys):
     rc, out, _ = run(capsys, "table1", "--only", "L6", "--cap", "200000")
     assert rc == 0
     assert out.count("[ok ]") == 3  # {2,1}, {2,-1}, {3,-1} L6 rows
+
+
+@pytest.mark.parametrize("mangle,error", [
+    (lambda text: text[:-2], "error: picture is not JSON: "),
+    (lambda text: text.replace('"arcs"', '"arks"'),
+     "error: picture lacks the key 'arcs'"),
+    (lambda text: text.replace('"group <', '"grope <'),
+     "error: picture's presentation: expected keyword 'group'"),
+], ids=("not-json", "missing-key", "bad-presentation"))
+def test_picture_malformed_file_exits_2(fixtures_dir, tmp_path, capsys,
+                                        mangle, error):
+    f = tmp_path / "pic.json"
+    f.write_text(mangle((fixtures_dir / "fig2.json").read_text()))
+    rc, out, err = run(capsys, "picture", str(f))
+    assert rc == 2 and out == ""
+    assert err.startswith(error) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [None, "group <g | g^2> x; rel x"],
+                         ids=("unreadable", "unparsable"))
+def test_picture_bad_presentation_file_exits_2(fixtures_dir, tmp_path,
+                                               capsys, text):
+    f = tmp_path / "p.txt"
+    if text is not None:
+        f.write_text(text)
+    rc, out, err = run(capsys, "picture", str(fixtures_dir / "fig2.json"),
+                       "--presentation", str(f))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

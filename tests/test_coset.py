@@ -25,6 +25,7 @@ from relasph.words import (
     fpw,
     free_group,
     parse_presentation,
+    parse_word,
     xsyl,
 )
 
@@ -42,6 +43,9 @@ PSL27 = P(["a", "b"], [[("a", 2)], [("b", 3)], [("a", 1), ("b", 1)] * 7,
 F25 = P([f"x{i}" for i in range(5)],
         [[(f"x{i}", 1), (f"x{(i + 1) % 5}", 1), (f"x{(i + 2) % 5}", -1)]
          for i in range(5)])
+S3Z3 = lift(parse_presentation(
+    "group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>; x; "
+    "rel x^2 g x^-1 h"))
 # the (2,3,7) triangle group: infinite, so every enumeration of it ends in
 # the budget path
 VD = P(["a", "b"], [[("a", 2)], [("b", 3)], [("a", 1), ("b", 1)] * 7])
@@ -245,55 +249,110 @@ def test_hlt_gap_fill_does_not_overwrite_its_first_definition():
     t = enumerate_cosets(pres, [(("h", 1),)], 1000)
     assert t.complete and t.n == 9  # the {2,-1} L6 fixture: 54 / 6
     t.check()
-    s3z3 = lift(parse_presentation(
-        "group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>; x; "
-        "rel x^2 g x^-1 h"))
-    t = enumerate_cosets(s3z3, [(("g", 1),)], 10 ** 5)
+    t = enumerate_cosets(S3Z3, [(("g", 1),)], 10 ** 5)
     assert t.complete and t.n == 13608
     t.check()
 
 
+def test_felsch_deduces_from_its_subgroup_scans():
+    """The cosets that scanning the subgroup generators defines are
+    deductions for Felsch too: <a | a^2> over <a^3> has index 1, and
+    both tables pass check()."""
+    pres = P(["a"], [[("a", 2)]])
+    for strategy in ("hlt", "felsch"):
+        t = enumerate_cosets(pres, [(("a", 3),)], 100, strategy=strategy)
+        assert t.complete and t.n == 1, strategy
+        t.check()
+
+
 _GUARD_GROUPS = {"S3": S3, "Q8": Q8, "A5": A5, "PSL27": PSL27, "F25": F25,
-                 "VD": VD}
-# (group, strategy, cap, status, index, total_defined, sha256 of the table's
-# bytes, first 16 hex digits), recorded from the list-based enumerator; the
-# typed-array table must make the same definitions in the same order.
+                 "VD": VD, "S3xZ3": S3Z3}
+# (group, subgroup generators, strategy, cap, status, index, total_defined,
+# sha256 of the table's bytes, first 16 hex digits), recorded from the
+# list-based enumerator; the typed-array table must make the same
+# definitions in the same order.
 # {4,1} K5 is left out: its regular table takes 3e6 definitions.
 _GUARD = (
-    ("S3", "hlt", 10000, "complete", 6, 6, "62f8ea117b5cdf4e"),
-    ("S3", "felsch", 10000, "complete", 6, 6, "62f8ea117b5cdf4e"),
-    ("Q8", "hlt", 10000, "complete", 8, 8, "b74a71fad8bcc7f8"),
-    ("Q8", "felsch", 10000, "complete", 8, 8, "d3f84356d9bc5adc"),
-    ("A5", "hlt", 10000, "complete", 60, 82, "2f7639a2f836f783"),
-    ("A5", "felsch", 10000, "complete", 60, 60, "aed1b90b53555cbe"),
-    ("PSL27", "hlt", 10000, "complete", 168, 542, "36f3abf10a120225"),
-    ("PSL27", "felsch", 10000, "complete", 168, 168, "e04d37cf8ddd7e43"),
-    ("F25", "hlt", 10000, "complete", 11, 165, "74ed9832d714d864"),
-    ("F25", "felsch", 10000, "complete", 11, 42, "cd041d32f5696142"),
+    ("S3", "", "hlt", 10000, "complete", 6, 6, "62f8ea117b5cdf4e"),
+    ("S3", "", "felsch", 10000, "complete", 6, 6, "62f8ea117b5cdf4e"),
+    ("Q8", "", "hlt", 10000, "complete", 8, 8, "b74a71fad8bcc7f8"),
+    ("Q8", "", "felsch", 10000, "complete", 8, 8, "d3f84356d9bc5adc"),
+    ("A5", "", "hlt", 10000, "complete", 60, 82, "2f7639a2f836f783"),
+    ("A5", "", "felsch", 10000, "complete", 60, 60, "aed1b90b53555cbe"),
+    ("PSL27", "", "hlt", 10000, "complete", 168, 542, "36f3abf10a120225"),
+    ("PSL27", "", "felsch", 10000, "complete", 168, 168, "e04d37cf8ddd7e43"),
+    ("F25", "", "hlt", 10000, "complete", 11, 165, "74ed9832d714d864"),
+    ("F25", "", "felsch", 10000, "complete", 11, 42, "cd041d32f5696142"),
     # the lookahead-and-compaction rescue, completing and at the budget
-    ("A5", "hlt", 70, "complete", 60, 74, "2f7639a2f836f783"),
-    ("VD", "hlt", 1000, "budget", 987, 1131, "e3b0c44298fc1c14"),
-    ("VD", "felsch", 1000, "budget", 1000, 1000, "e3b0c44298fc1c14"),
-    ("{2,1} K5", "hlt", 3000000, "complete", 165, 336, "d48697a9fd271f0c"),
-    ("{2,1} K6+", "hlt", 3000000, "complete", 378, 838, "d8a4008d6ca3411e"),
-    ("{2,1} K6-", "hlt", 3000000, "complete", 342, 1948, "43cbe56215b337e7"),
-    ("{2,1} L6", "hlt", 3000000, "complete", 342, 1879, "18814e0e69b444e8"),
-    ("{3,1} K5", "hlt", 3000000, "complete", 1100, 7179, "a9ccf52c2616ca57"),
-    ("{3,2} K5", "hlt", 3000000, "complete", 2525, 9910, "0ee89d109d878479"),
-    ("{2,-1} K5", "hlt", 3000000, "complete", 55, 341, "24b1505e4bfb9e6c"),
-    ("{2,-1} K6+", "hlt", 3000000, "complete", 336, 862, "c65c10315fc3578d"),
-    ("{2,-1} L6", "hlt", 3000000, "complete", 54, 211, "df96fefce160ffe1"),
-    ("{3,-1} K5", "hlt", 3000000, "complete", 110, 21636, "a55cc193605de637"),
-    ("{3,-1} L6", "hlt", 3000000, "complete", 9072, 29573, "6070025186a1b8bc"),
+    ("A5", "", "hlt", 70, "complete", 60, 74, "2f7639a2f836f783"),
+    ("VD", "", "hlt", 1000, "budget", 987, 1131, "e3b0c44298fc1c14"),
+    ("VD", "", "felsch", 1000, "budget", 1000, 1000, "e3b0c44298fc1c14"),
+    ("{2,1} K5", "", "hlt", 3000000, "complete", 165, 336, "d48697a9fd271f0c"),
+    ("{2,1} K6+", "",
+     "hlt", 3000000, "complete", 378, 838, "d8a4008d6ca3411e"),
+    ("{2,1} K6-", "",
+     "hlt", 3000000, "complete", 342, 1948, "43cbe56215b337e7"),
+    ("{2,1} L6", "",
+     "hlt", 3000000, "complete", 342, 1879, "18814e0e69b444e8"),
+    ("{3,1} K5", "",
+     "hlt", 3000000, "complete", 1100, 7179, "a9ccf52c2616ca57"),
+    ("{3,2} K5", "",
+     "hlt", 3000000, "complete", 2525, 9910, "0ee89d109d878479"),
+    ("{2,-1} K5", "", "hlt", 3000000, "complete", 55, 341, "24b1505e4bfb9e6c"),
+    ("{2,-1} K6+", "",
+     "hlt", 3000000, "complete", 336, 862, "c65c10315fc3578d"),
+    ("{2,-1} L6", "", "hlt", 3000000, "complete", 54, 211, "df96fefce160ffe1"),
+    ("{3,-1} K5", "",
+     "hlt", 3000000, "complete", 110, 21636, "a55cc193605de637"),
+    ("{3,-1} L6", "",
+     "hlt", 3000000, "complete", 9072, 29573, "6070025186a1b8bc"),
+    # HLT's subgroup path (the scan and fill at coset 1), recorded from the
+    # enumerator whose subgroup scans defined one coset per call
+    ("{2,1} K5", "h", "hlt", 3000000, "complete", 33, 57, "a6c3fd5a1532f233"),
+    ("{2,1} K6+", "h",
+     "hlt", 3000000, "complete", 63, 153, "3c3ce7afee7978b0"),
+    ("{2,1} K6-", "h",
+     "hlt", 3000000, "complete", 57, 494, "3dfa8e7b00d5db99"),
+    ("{2,1} L6", "h", "hlt", 3000000, "complete", 57, 325, "7a0f9cae72aa13c7"),
+    ("{3,1} K5", "h",
+     "hlt", 3000000, "complete", 220, 1486, "0456146500a51a91"),
+    ("{3,2} K5", "h",
+     "hlt", 3000000, "complete", 505, 2370, "92f3c291abf0250c"),
+    ("{2,-1} K5", "h", "hlt", 3000000, "complete", 11, 83, "060c0bba9d5714f6"),
+    ("{2,-1} K6+", "h",
+     "hlt", 3000000, "complete", 56, 135, "ef430387995ef7ba"),
+    ("{2,-1} L6", "h", "hlt", 3000000, "complete", 9, 32, "52b85eafb04069e6"),
+    ("{3,-1} K5", "h",
+     "hlt", 3000000, "complete", 22, 4754, "de22a1fb59467edd"),
+    ("{3,-1} L6", "h",
+     "hlt", 3000000, "complete", 1512, 4979, "37b6d74d0654f3e6"),
+    ("S3xZ3", "g",
+     "hlt", 100000, "complete", 13608, 55628, "e744f09886658301"),
+    ("A5", "a, b a b^-1", "hlt", 10000, "complete", 6, 7, "0336844fd7851188"),
+    ("A5", "b, a b a^-1 b^-1 a",
+     "hlt", 10000, "complete", 5, 9, "1d27532f3949cd61"),
+    ("PSL27", "a b^-1 a b, b a b a^-1 b",
+     "hlt", 10000, "complete", 1, 44, "eeb59ffe1ad6ccec"),
+    ("PSL27", "b, a b a b^-1 a",
+     "hlt", 10000, "complete", 7, 23, "8d76ba2a98c77e97"),
+    ("PSL27", "a, b a b a b^-1 a b^-1",
+     "hlt", 10000, "complete", 28, 108, "cc2e566d039e51dd"),
+    # the cap stops the subgroup scans: "budget" at once, counted
+    ("A5", "a b a b^-1 a b a b^-1 a b^-1 a b",
+     "hlt", 10, "budget", 10, 10, "e3b0c44298fc1c14"),
+    ("A5", "a b a b^-1 a b, a b^-1 a b a b a b^-1",
+     "hlt", 10, "budget", 10, 10, "e3b0c44298fc1c14"),
 )
 
 
 def test_tables_identical_to_the_list_enumerator():
     fixtures = {f.name: f for f in TABLE1_FIXTURES}
-    for group, strategy, cap, status, n, defined, digest in _GUARD:
+    for group, subgroup, strategy, cap, status, n, defined, digest in _GUARD:
         pres = (_GUARD_GROUPS[group] if group in _GUARD_GROUPS
                 else fixtures[group].instance().lifted())
-        t = enumerate_cosets(pres, [], cap, strategy=strategy)
+        subs = [parse_word(w) for w in subgroup.split(",")] if subgroup else []
+        t = enumerate_cosets(pres, subs, cap, strategy=strategy)
         got = (t.status, t.n, t.total_defined,
                hashlib.sha256(t.tab.tobytes()).hexdigest()[:16])
-        assert got == (status, n, defined, digest), (group, strategy, cap)
+        assert got == (status, n, defined, digest), (group, subgroup,
+                                                     strategy, cap)
