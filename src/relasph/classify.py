@@ -359,6 +359,32 @@ CASE_TABLE = {
 }
 
 
+# case -> |G| = |gp{g,h}| at which a table cell's order is the defined
+# group's order (the K/L cases need g and h of order 5 or 6)
+CASE_ORDERS = {"K5": 5, "K6+": 6, "K6-": 6, "L6": 6}
+# (2,-1) obstruction -> (|G| = |gp{g,h}|, order of the defined group)
+OBSTRUCTION_ORDERS = {"iii": (18, 27216), "iv": (9, 13608)}
+
+# row key -> (exceptional families the row's theorem leaves open, rule and
+# detail of the theorem that covers the rest of the row)
+_N1 = ((), "lk-n-1", "exponents ({l},{k}) with no coincidence case: "
+       "reducible and aspherical")
+ROW_THEOREMS = {
+    "2,1": ((), "lk-2-1", "exponents ({l},{k}) with no coincidence case and "
+            "no finite square relation: reducible and aspherical"),
+    "3,1": _N1, "4,1": _N1, "n,1": _N1,
+    "3,2": (("HM-E",), "lk-3-2", "exponents ({l},{k}) with no coincidence "
+            "case and no HM-E family: reducible and aspherical"),
+    "pos": (("AEJ-E",), "lk-positive", "positive exponents ({l},{k}) with no "
+            "coincidence case and no AEJ-E family: reducible and aspherical"),
+    "2,-1": (("E-E1", "E-E2"), "lk-2-neg1", "exponents ({l},{k}) with every "
+             "obstruction excluded: reducible and aspherical"),
+    "3,-1": (("AAE-E", "AAE-E4"), "lk-3-neg1", "exponents ({l},{k}) with no "
+             "coincidence case and no exceptional family: reducible and "
+             "aspherical"),
+}
+
+
 def row_key(l: int, k: int) -> Optional[str]:
     """Table row for a normalized (l, k) with l >= |k|."""
     if k == 1:
@@ -512,20 +538,14 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
         return _verdict(dr, UNKNOWN, rule, detail, conjectural=conjectural,
                         flags=flags, blockers=blockers, hits=hits)
 
-    # expected-order metadata is sound only when G is exactly the cyclic
-    # group generated by the coefficients, which is when |G| matches the
-    # case order and gp{g,h} has index 1
-    def core_expected(case: str, value) -> Optional[int]:
-        if value in (None, THREE_MANIFOLD):
-            return None
-        want = {"K5": 5, "K6+": 6, "K6-": 6, "L6": 6}[case]
+    # an expected order is sound metadata only when G is exactly gp{g,h},
+    # of order `want`; the two queries run only when an order is attached
+    def generated_order(want: int, value: int) -> Optional[int]:
         total = ctx.group_order()
         if not (total.is_finite and total.value == want):
             return None
         sub = ctx.subgroup_order([A, B])
-        if sub.is_finite and sub.value == want:
-            return value
-        return None
+        return value if sub.is_finite and sub.value == want else None
 
     # ---- cases J4 / J6: aspherical exactly when the natural map is an
     # isomorphism, characterised by |l+k| = 1 with l or k divisible
@@ -574,159 +594,100 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
         blockers.append("case P undecided (order budget)")
 
     # ---- per-family theorems ------------------------------------------------
-    row = row_key(l, k)
-
-    def table_negative(case: str):
-        entry = CASE_TABLE.get((row, case))
-        if entry is None:
-            return open_case("table-open",
-                             f"case {case} at exponents ({l},{k}) is an "
-                             "unresolved table cell")
-        if entry == THREE_MANIFOLD:
-            return negative("three-manifold-core",
-                            f"case {case}: the defined group is an infinite "
-                            "virtual three-manifold group, not isomorphic "
-                            "to G; non-aspherical")
-        return negative("finite-core-order",
-                        f"case {case}: the defined group over the cyclic "
-                        f"core is finite of order {entry} > |core|; "
-                        "non-aspherical",
-                        expected=core_expected(case, entry))
-
-    def require_no(names, then):
-        undecided = [n for n in names if flags[n] == UNKNOWN]
-        hit = [n for n in names if flags[n] == YES]
-        if hit:
-            raise AssertionError(f"unhandled case hit {hit}")
-        if undecided:
-            return open_blocked(
-                f"cases {', '.join(undecided)} undecided within budget")
-        return then()
-
-    klcases = ("K5", "K6+", "K6-", "L6")
-
-    if row == "2,1":
-        for case in klcases:
-            if flags[case] == YES:
-                return table_negative(case)
-        sq = tri_or(
-            tri_and(ctx.equal(A, wmul(B, B)), order_finite(flags.oh)),
-            tri_and(ctx.equal(B, wmul(A, A)), order_finite(flags.og)))
-        if sq == YES:
-            return negative("lk-2-1-square",
-                            "g = h^2 or h = g^2 with finite order at "
-                            "exponents (2,1): non-reducible, non-aspherical")
-        if sq == UNKNOWN:
-            return open_blocked("square condition undecided at (2,1)")
-        return require_no(CASE_NAMES, lambda: positive(
-            "lk-2-1", "exponents (2,1) with no coincidence case and no "
-            "finite square relation: reducible and aspherical"))
-
-    if row == "2,-1":
-        for name in ("E-E1", "E-E2"):
-            if flags[name] == YES:
-                return open_case(f"open-exceptional-{name}",
-                                 f"exceptional family {name} at (2,-1): "
-                                 "asphericity unresolved")
-        for case in klcases:
-            if flags[case] == YES:
-                return table_negative(case)
-        og, oh = flags.og, flags.oh
-        commute = ctx.equal(wmul(A, B), wmul(B, A))
-        c_i = tri_or(tri_and(ctx.equal(A, winv(wmul(B, B))), order_finite(oh)),
-                     tri_and(ctx.equal(B, winv(wmul(A, A))), order_finite(og)))
-        c_ii = tri_and(commute, tri_or(order_is(og, 2), order_is(oh, 2)))
-        comm_word = wmul(A, B, A, B, winv(A), winv(B), winv(A), winv(B))
-        c_iii = tri_and(
-            tri_or(tri_and(order_is(og, 2), order_is(oh, 3)),
-                   tri_and(order_is(og, 3), order_is(oh, 2))),
-            ctx.is_trivial_word(comm_word))
-        c_iv = tri_and(order_is(og, 3), order_is(oh, 3), commute)
-        sq_any = tri_or(ctx.equal(A, wmul(B, B)), ctx.equal(B, wmul(A, A)))
-        c_v = tri_and(order_is(og, 7), order_is(oh, 7), sq_any)
-        c_vi = tri_and(order_is(og, 9), order_is(oh, 9), sq_any)
-        subcases = {"i": c_i, "ii": c_ii, "iii": c_iii, "iv": c_iv,
-                    "v": c_v, "vi": c_vi}
-        for name, val in subcases.items():
-            if val == YES:
-                expected = None
-                total = ctx.group_order()
-                sub = ctx.subgroup_order([A, B])
-                whole = (total.is_finite and sub.is_finite
-                         and sub.value == total.value)
-                if whole and name == "iii" and total.value == 18:
-                    expected = 27216
-                if whole and name == "iv" and total.value == 9:
-                    expected = 13608
-                return negative(
-                    f"lk-2-neg1-{name}",
-                    f"exponents (2,-1), obstruction ({name}): finite order "
-                    "or torsion witness in the defined group",
-                    expected=expected)
-        if flags["E-E3"] == YES:
-            expected = None
-            total = ctx.group_order()
-            sub = ctx.subgroup_order([A, B])
-            if (total.is_finite and total.value == 8 and sub.is_finite
-                    and sub.value == 8):
-                expected = 2361960
-            return negative("lk-2-neg1-E-E3",
-                            "exceptional family E-E3 at (2,-1): the defined "
-                            "group is finite and too large; non-aspherical",
-                            expected=expected)
-        pending = [n for n, v in subcases.items() if v == UNKNOWN]
-        if pending:
-            return open_blocked(
-                f"(2,-1) obstructions {', '.join(pending)} undecided")
-        return require_no((*CASE_NAMES, "E-E1", "E-E2", "E-E3"), lambda: positive(
-            "lk-2-neg1", "exponents (2,-1) with every obstruction excluded: "
-            "reducible and aspherical"))
-
-    if row == "3,-1":
-        for case in klcases:
-            if flags[case] == YES:
-                return table_negative(case)
-        for name in ("AAE-E", "AAE-E4"):
-            if flags[name] == YES:
-                return open_case(f"open-exceptional-{name}",
-                                 f"exceptional family {name} at (3,-1): "
-                                 "asphericity unresolved")
-        return require_no((*CASE_NAMES, "AAE-E", "AAE-E4"), lambda: positive(
-            "lk-3-neg1", "exponents (3,-1) with no coincidence case and no "
-            "exceptional family: reducible and aspherical"))
-
-    if row in ("3,1", "4,1", "n,1"):
-        for case in klcases:
-            if flags[case] == YES:
-                return table_negative(case)
-        return require_no(CASE_NAMES, lambda: positive(
-            "lk-n-1", f"exponents ({l},{k}) with no coincidence case: "
-            "reducible and aspherical"))
-
-    if row == "3,2":
-        for case in klcases:
-            if flags[case] == YES:
-                return table_negative(case)
-        if flags["HM-E"] == YES:
-            return open_case("open-exceptional-HM-E",
-                             "exceptional family HM-E at (3,2): asphericity "
-                             "unresolved")
-        return require_no((*CASE_NAMES, "HM-E"), lambda: positive(
-            "lk-3-2", "exponents (3,2) with no coincidence case and no "
-            "HM-E family: reducible and aspherical"))
-
-    if row == "pos":
-        for case in klcases:
-            if flags[case] == YES:
-                return table_negative(case)
-        if flags["AEJ-E"] == YES:
+    def open_exceptional(name):
+        if name == "AEJ-E":  # conjectured aspherical, unlike the others
             return open_case("conjecture-positive-exponents",
                              "exceptional family AEJ-E: conjecturally "
                              "reducible and aspherical, unproven",
                              conjectural=True)
-        return require_no((*CASE_NAMES, "AEJ-E"), lambda: positive(
-            "lk-positive", f"positive exponents ({l},{k}) with no "
-            "coincidence case and no AEJ-E family: reducible and aspherical"))
+        return open_case(f"open-exceptional-{name}",
+                         f"exceptional family {name} at ({l},{k}): "
+                         "asphericity unresolved")
+
+    row = row_key(l, k)
+    if row is not None:
+        for case, want in CASE_ORDERS.items():
+            if flags[case] != YES:
+                continue
+            entry = CASE_TABLE[(row, case)]
+            if entry is None:
+                return open_case("table-open",
+                                 f"case {case} at exponents ({l},{k}) is an "
+                                 "unresolved table cell")
+            if entry == THREE_MANIFOLD:
+                return negative("three-manifold-core",
+                                f"case {case}: the defined group is an "
+                                "infinite virtual three-manifold group, not "
+                                "isomorphic to G; non-aspherical")
+            return negative("finite-core-order",
+                            f"case {case}: the defined group over the cyclic "
+                            f"core is finite of order {entry} > |core|; "
+                            "non-aspherical",
+                            expected=generated_order(want, entry))
+        families, rule, detail = ROW_THEOREMS[row]
+        for name in families:
+            if flags[name] == YES:
+                return open_exceptional(name)
+        excluded = families  # flags the row's theorem needs to be NO
+        if row == "2,1":
+            sq = tri_or(
+                tri_and(ctx.equal(A, wmul(B, B)), order_finite(flags.oh)),
+                tri_and(ctx.equal(B, wmul(A, A)), order_finite(flags.og)))
+            if sq == YES:
+                return negative("lk-2-1-square",
+                                "g = h^2 or h = g^2 with finite order at "
+                                "exponents (2,1): non-reducible, "
+                                "non-aspherical")
+            if sq == UNKNOWN:
+                return open_blocked("square condition undecided at (2,1)")
+        if row == "2,-1":
+            og, oh = flags.og, flags.oh
+            commute = ctx.equal(wmul(A, B), wmul(B, A))
+            comm_word = wmul(A, B, A, B, winv(A), winv(B), winv(A), winv(B))
+            sq_any = tri_or(ctx.equal(A, wmul(B, B)), ctx.equal(B, wmul(A, A)))
+            subcases = {
+                "i": tri_or(
+                    tri_and(ctx.equal(A, winv(wmul(B, B))), order_finite(oh)),
+                    tri_and(ctx.equal(B, winv(wmul(A, A))), order_finite(og))),
+                "ii": tri_and(commute,
+                              tri_or(order_is(og, 2), order_is(oh, 2))),
+                "iii": tri_and(
+                    tri_or(tri_and(order_is(og, 2), order_is(oh, 3)),
+                           tri_and(order_is(og, 3), order_is(oh, 2))),
+                    ctx.is_trivial_word(comm_word)),
+                "iv": tri_and(order_is(og, 3), order_is(oh, 3), commute),
+                "v": tri_and(order_is(og, 7), order_is(oh, 7), sq_any),
+                "vi": tri_and(order_is(og, 9), order_is(oh, 9), sq_any),
+            }
+            for name, val in subcases.items():
+                if val == YES:
+                    expected = (generated_order(*OBSTRUCTION_ORDERS[name])
+                                if name in OBSTRUCTION_ORDERS else None)
+                    return negative(
+                        f"lk-2-neg1-{name}",
+                        f"exponents (2,-1), obstruction ({name}): finite "
+                        "order or torsion witness in the defined group",
+                        expected=expected)
+            if flags["E-E3"] == YES:
+                return negative("lk-2-neg1-E-E3",
+                                "exceptional family E-E3 at (2,-1): the "
+                                "defined group is finite and too large; "
+                                "non-aspherical",
+                                expected=generated_order(8, 2361960))
+            pending = [n for n, v in subcases.items() if v == UNKNOWN]
+            if pending:
+                return open_blocked(
+                    f"(2,-1) obstructions {', '.join(pending)} undecided")
+            excluded = (*families, "E-E3")
+        names = (*CASE_NAMES, *excluded)
+        hit = [n for n in names if flags[n] == YES]
+        if hit:
+            raise AssertionError(f"unhandled case hit {hit}")
+        undecided = [n for n in names if flags[n] == UNKNOWN]
+        if undecided:
+            return open_blocked(
+                f"cases {', '.join(undecided)} undecided within budget")
+        return positive(rule, detail.format(l=l, k=k))
 
     # ---- k < 0 families beyond (2,-1), (3,-1) -----------------------------
     if k == -1 and l >= 4:
@@ -754,9 +715,7 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
                         flags=flags, hits=hits)
     for name in ("D-E1", "D-E2", "D-E4"):
         if flags[name] == YES:
-            return open_case(f"open-exceptional-{name}",
-                             f"exceptional family {name} at ({l},{k}): "
-                             "asphericity unresolved")
+            return open_exceptional(name)
     if blockers:
         return open_blocked("; ".join(dict.fromkeys(blockers)))
     return open_case("open",
@@ -809,30 +768,30 @@ class VerifyReport:
         return [f"[{c.status:>7}] {c.name}: {c.detail}" for c in self.checks]
 
 
-def verify_verdict(inst: LengthFourInstance, verdict: CaseVerdict,
+def verify_verdict(inst: Optional[LengthFourInstance], verdict: CaseVerdict,
                    cap: int = DEFAULT_CAP) -> VerifyReport:
     """Cross-check a verdict against coset enumeration.
 
     aspherical=yes demands that a finite defined group have exactly the
     order of G (the natural map must be injective with every finite
     subgroup conjugate into G); a finite-order justification for
-    aspherical=no must reproduce the claimed order.
+    aspherical=no must reproduce the claimed order, computed by
+    `order_via_cyclic_subgroup` over G's first generator.  `inst` is read
+    only for those two claims, so an open verdict may pass None.
     """
     checks = []
-    ctx = context_for(inst.G, cap)
-    lifted = inst.lifted()
     if verdict.aspherical == YES and verdict.dr == NO:
         checks.append(VerifyCheck(
             "internal-consistency", "fatal",
             "aspherical verdicts may not assert non-reducibility"))
     if verdict.aspherical == YES:
-        t = enumerate_cosets(lifted, [], cap)
+        t = enumerate_cosets(inst.lifted(), [], cap)
         if not t.complete:
             checks.append(VerifyCheck(
                 "order-vs-G", "skipped",
                 f"defined group not enumerated within {cap} cosets"))
         else:
-            total = ctx.group_order()
+            total = context_for(inst.G, cap).group_order()
             if total.is_finite and t.n == total.value:
                 checks.append(VerifyCheck(
                     "order-vs-G", "ok",
@@ -851,13 +810,10 @@ def verify_verdict(inst: LengthFourInstance, verdict: CaseVerdict,
                     "order-vs-G", "skipped", "|G| not known within budget"))
     elif verdict.aspherical == NO and verdict.expected_core_order:
         expected = verdict.expected_core_order
-        r = order_via_cyclic_subgroup(lifted, _single_gen_word(inst), cap) \
-            if len(inst.G.generators) == 1 else None
-        if r is None or not r.is_finite:
-            t = enumerate_cosets(lifted, [], cap)
-            r = OrderResult.finite(t.n) if t.complete else OrderResult.exceeds(cap)
+        r = order_via_cyclic_subgroup(inst.lifted(),
+                                      ((inst.G.generators[0], 1),), cap)
         if r.is_finite and r.value == expected:
-            gord = ctx.group_order()
+            gord = context_for(inst.G, cap).group_order()
             extra = (f"; order differs from |G| = {gord.value}"
                      if gord.is_finite and gord.value != expected else "")
             checks.append(VerifyCheck(
@@ -876,10 +832,6 @@ def verify_verdict(inst: LengthFourInstance, verdict: CaseVerdict,
             "order-checks", "skipped",
             "verdict carries no enumeration-checkable claim"))
     return VerifyReport(tuple(checks))
-
-
-def _single_gen_word(inst: LengthFourInstance) -> Word:
-    return ((inst.G.generators[0], 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -927,14 +879,8 @@ EXTENDED_FIXTURE = Fixture("{3,1} L6 (extended)", "L6", 6, 3, 1, 3, 1, 24530688)
 def fixture_order(fix: Fixture, cap: int = DEFAULT_CAP) -> OrderResult:
     """Order of the defined group for a catalog fixture.
 
-    Prefers enumeration over the cyclic coefficient subgroup with the
-    exact order multiplier (the abelianized order of the coefficient
-    generator meets its power-relator bound on every catalog entry), and
-    falls back to a trivial-subgroup enumeration.
+    Enumerates over the cyclic coefficient subgroup with the exact order
+    multiplier: the abelianized order of the coefficient generator meets
+    its power-relator bound on every catalog entry.
     """
-    lifted = fix.instance().lifted()
-    r = order_via_cyclic_subgroup(lifted, (("h", 1),), cap)
-    if r is not None:
-        return r
-    t = enumerate_cosets(lifted, [], cap)
-    return OrderResult.finite(t.n) if t.complete else OrderResult.exceeds(cap)
+    return order_via_cyclic_subgroup(fix.instance().lifted(), (("h", 1),), cap)

@@ -4,10 +4,10 @@ Subcommands: classify, table1, order, stargraph, weighttest, picture.
 Budget exhaustion is reported in the output and exits 0 (scientific
 openness is not a tool failure); malformed input exits 2 with a one-line
 error, among it parse errors, a cap outside 1..coset.MAX_CAP, a
-non-integer ASPH_COSET_CAP, a bad --subgroup word and a malformed picture
-file; table mismatches and fatal verification
-inconsistencies exit 1.  The environment variable ASPH_COSET_CAP
-overrides the default coset cap.
+non-integer ASPH_COSET_CAP, a bad --subgroup word, a malformed picture
+file, and a picture that cannot be reduced or measured; table mismatches
+and fatal verification inconsistencies exit 1.  The environment variable
+ASPH_COSET_CAP overrides the default coset cap.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import coset
 from .classify import (
     EXTENDED_FIXTURE,
     TABLE1_FIXTURES,
+    CaseVerdict,
     LengthFourInstance,
     classify,
     cyclic_group,
@@ -40,7 +41,14 @@ from .pictures import (
 )
 from .stargraph import build_star_graph, to_dot
 from .weights import WeightFunction, check_weight_function, search_weight_function
-from .words import ParseError, TriState, parse_presentation, parse_word, word_str
+from .words import (
+    ParseError,
+    TriState,
+    UndecidedError,
+    parse_presentation,
+    parse_word,
+    word_str,
+)
 
 
 def default_cap() -> int:
@@ -99,9 +107,18 @@ def cmd_classify(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    verdict = classify(inst, cap)
+    except UndecidedError as err:
+        # the budget cannot reduce the relator to its length-four shape
+        inst = None
+        verdict = CaseVerdict(TriState.UNKNOWN, TriState.UNKNOWN,
+                              "open-blocked", "relator not reduced within "
+                              "budget", blockers=(str(err),))
+        described = f"<G, {', '.join(pres.x_gens)} | {pres.relators[0]}>"
+    else:
+        verdict = classify(inst, cap)
+        described = inst.describe()
     out = {
-        "instance": inst.describe(),
+        "instance": described,
         "dr": _tri(verdict.dr),
         "aspherical": _tri(verdict.aspherical),
         "rule": verdict.justification,
@@ -268,31 +285,33 @@ def cmd_picture(args) -> int:
         return 2
     ctx = coset.context_for(pres.coeff, args.cap)
     report = validate_picture(pic, pres, ctx)
-    out_lines = report.lines()
-    if args.reduce:
-        steps = 0
-        cur = pic
-        while True:
-            d = find_dipole(cur, pres, ctx)
-            if d is None:
-                break
-            cur = cancel_dipole(cur, d)
-            steps += 1
-            out_lines.append(
-                f"cancelled dipole at arc {d.arc} (region {d.region}); "
-                f"{len(cur.discs)} discs remain")
-        if steps == 0:
-            out_lines.append("reduced: no dipole found")
-        else:
-            out_lines.append(f"reduced after {steps} cancellations")
-    if args.curvature:
-        ang = standard_angles(pic)
-        per, total = curvature(pic, ang)
-        for ri, c in sorted(per.items()):
-            out_lines.append(f"curvature of region {ri}: {c} pi")
-        out_lines.append(f"total curvature: {total} pi")
-    for line in out_lines:
+    for line in report.lines():
         print(line)
+    try:
+        if args.reduce:
+            steps = 0
+            cur = pic
+            while True:
+                d = find_dipole(cur, pres, ctx)
+                if d is None:
+                    break
+                cur = cancel_dipole(cur, d)
+                steps += 1
+                print(f"cancelled dipole at arc {d.arc} (region {d.region}); "
+                      f"{len(cur.discs)} discs remain")
+            if steps == 0:
+                print("reduced: no dipole found")
+            else:
+                print(f"reduced after {steps} cancellations")
+        if args.curvature:
+            per, total = curvature(pic, standard_angles(pic))
+            for ri, c in sorted(per.items()):
+                print(f"curvature of region {ri}: {c} pi")
+            print(f"total curvature: {total} pi")
+    except ValueError as err:
+        # a picture whose map is broken can be neither reduced nor measured
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return 0 if report.ok else 1
 
 
@@ -303,21 +322,22 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
                     "one-relator relative presentations")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, presentation_arg=True):
-        if presentation_arg:
-            p.add_argument("presentation", nargs="?",
-                           help="presentation file (grammar: group <gens | "
-                                "relators>; x-gens; rel word [; rel word]*)")
-            p.add_argument("--cyclic", type=int, metavar="N",
-                           help="shorthand coefficient group Z_N")
-            p.add_argument("--l", type=int)
-            p.add_argument("--k", type=int)
-            p.add_argument("--g", type=int, metavar="A",
-                           help="g = h^A in the cyclic shorthand")
-            p.add_argument("--h", type=int, metavar="B")
+    def add_common(p, formats=True):
+        p.add_argument("presentation", nargs="?",
+                       help="presentation file (grammar: group <gens | "
+                            "relators>; x-gens; rel word [; rel word]*)")
+        p.add_argument("--cyclic", type=int, metavar="N",
+                       help="shorthand coefficient group Z_N")
+        p.add_argument("--l", type=int)
+        p.add_argument("--k", type=int)
+        p.add_argument("--g", type=int, metavar="A",
+                       help="g = h^A in the cyclic shorthand")
+        p.add_argument("--h", type=int, metavar="B")
         p.add_argument("--cap", type=int, default=cap,
                        help="coset enumeration budget")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if formats:
+            p.add_argument("--format", choices=("text", "json"),
+                           default="text")
 
     p = sub.add_parser("classify", help="classify a length-four instance")
     add_common(p)
@@ -335,7 +355,7 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_table1)
 
     p = sub.add_parser("order", help="order of the defined group")
-    add_common(p)
+    add_common(p, formats=False)
     p.add_argument("--subgroup", help="comma-separated subgroup generator words")
     p.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
     p.set_defaults(fn=cmd_order)
@@ -362,7 +382,6 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
     p.add_argument("--curvature", action="store_true",
                    help="standard-angle curvature per region")
     p.add_argument("--cap", type=int, default=cap)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_picture)
     return ap
 

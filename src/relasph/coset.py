@@ -13,14 +13,16 @@ applies a closing deduction or a coincidence.
 Determinism: both strategies first scan and fill each subgroup generator
 at coset 1, in input order.  HLT then processes cosets in increasing
 order, scanning and filling relators in input order, then fills generator
-columns in increasing column order; on table overflow it performs one
-lookahead pass (`_scan` of all relators at all live cosets, in order)
-followed by compaction, which renumbers live cosets preserving their
-relative order.  Felsch pushes every entry the subgroup scans made onto
-its deduction stack, then defines the first undefined entry of the lowest
-live coset; it drains the stack LIFO, with `_scan` of each relator
-rotation that starts with the deduced column.  Budget exhaustion is a
-value (`status == "budget"`), never an error.
+columns in increasing column order.  On table overflow it runs a lookahead
+pass (`_scan` of all relators at all live cosets, in order) followed by
+compaction, which renumbers live cosets preserving their relative order,
+and resumes; it repeats this rescue at each overflow while the compacted
+table stays below 98% of the cap, and gives up once more than 10 x cap
+cosets have been defined.  Felsch pushes every entry the subgroup scans
+made onto its deduction stack, then defines the first undefined entry of
+the lowest live coset; it drains the stack LIFO, with `_scan` of each
+relator rotation that starts with the deduced column.  Budget exhaustion
+is a value (`status == "budget"`), never an error.
 
 References: Holt, Eick, O'Brien, "Handbook of Computational Group
 Theory", chapter 5.
@@ -160,8 +162,10 @@ def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
     """Enumerate cosets of the subgroup generated by `subgroup_words`.
 
     Returns a complete table with exact index, or a table with
-    status 'budget' once more than `cap` rows would be needed (one
-    lookahead-and-compaction rescue is attempted first under HLT).
+    status 'budget' once more than `cap` rows would be needed.  Under HLT
+    each overflow first runs a lookahead-and-compaction rescue; the
+    enumeration gives up when a rescue leaves the table at 98% of the cap
+    or more, or once more than 10 * cap cosets have been defined.
     Raises ValueError unless 1 <= cap <= MAX_CAP.
     """
     if not 1 <= cap <= MAX_CAP:
@@ -737,18 +741,16 @@ def _power_relator_bound(pres: LiftedPresentation, w: Word) -> Optional[int]:
 
 
 def order_via_cyclic_subgroup(pres: LiftedPresentation, w: Word,
-                              cap: int = DEFAULT_CAP) -> Optional[OrderResult]:
+                              cap: int = DEFAULT_CAP) -> OrderResult:
     """|group| = [group : <w>] * |w| when |w| can be pinned exactly.
 
     |w| is exact when its abelianized order meets an explicit power-relator
-    upper bound.  Returns None when that certification is unavailable.
+    upper bound; otherwise the order comes from `group_order`.  Either way
+    one enumeration runs, and a cap hit is ExceedsBudget.
     """
     upper = _power_relator_bound(pres, w)
-    if upper is None:
-        return None
-    lower = abelian_order_of_word(pres, w)
-    if lower != upper:
-        return None
+    if upper is None or abelian_order_of_word(pres, w) != upper:
+        return group_order(pres, cap)
     t = enumerate_cosets(pres, [w], cap)
     if not t.complete:
         return OrderResult.exceeds(cap)

@@ -32,13 +32,13 @@ from .words import (
     ParseError,
     TriState,
     Word,
+    cyclic_letters_conjugate,
     cyclically_reduce,
     invert_letter_form,
     letter_form,
     letters_equal,
     parse_presentation,
     parse_word,
-    rotate_letters,
     wmul,
     word_str,
 )
@@ -114,6 +114,9 @@ def _end_locations(pic: Picture) -> dict:
 
 def _check_structure(pic: Picture) -> dict:
     locs = _end_locations(pic)
+    for ai, end in locs:
+        if end not in (0, 1) or not 0 <= ai < len(pic.arcs):
+            raise ValueError(f"{(ai, end)} is not an end of any arc")
     for ai in range(len(pic.arcs)):
         for end in (0, 1):
             if (ai, end) not in locs:
@@ -216,21 +219,6 @@ def _connected(pic: Picture) -> bool:
     return len(seen) == len(adj)
 
 
-def disc_letter_form(pic: Picture, disc_index: int) -> list:
-    """Clockwise reading of a disc as letter form, starting at its first
-    arc end: [(letter, sign, following corner word), ...]."""
-    b = pic.discs[disc_index].boundary
-    start = next(i for i, it in enumerate(b) if it[0] == ARC)
-    letters = []
-    n = len(b)
-    for off in range(0, n, 2):
-        item = b[(start + off) % n]
-        corner = b[(start + off + 1) % n]
-        arc = pic.arcs[item[1]]
-        letters.append((arc.label, arc.end_sign(item[2]), corner[1]))
-    return letters
-
-
 @dataclass(frozen=True)
 class DiscCheck:
     disc: int
@@ -280,20 +268,6 @@ def _relator_letterforms(p, ctx) -> list:
     return forms
 
 
-def _matches_some_rotation(lf, forms, ctx) -> TriState:
-    saw_unknown = False
-    for form in forms:
-        if len(form) != len(lf):
-            continue
-        for r in range(len(form)):
-            eq = letters_equal(lf, rotate_letters(form, r), ctx)
-            if eq == TriState.YES:
-                return TriState.YES
-            if eq == TriState.UNKNOWN:
-                saw_unknown = True
-    return TriState.UNKNOWN if saw_unknown else TriState.NO
-
-
 def validate_picture(pic: Picture, p, ctx) -> ValidationReport:
     """Check a labelled picture against a relative presentation.
 
@@ -310,15 +284,25 @@ def validate_picture(pic: Picture, p, ctx) -> ValidationReport:
     except ValueError as err:
         return ValidationReport(False, (str(err),), (), (), False, False,
                                 TriState.NO, None)
-    if not _connected(pic):
+    connected = _connected(pic)
+    if not connected:
         problems.append("picture is not connected")
     if (pic.discs or pic.arcs) and not euler_check(pic, regions):
         problems.append("rotation system is not planar (Euler check failed)")
     forms = _relator_letterforms(p, ctx)
     disc_checks = []
-    for di in range(len(pic.discs)):
-        lf = disc_letter_form(pic, di)
-        ok = _matches_some_rotation(lf, forms, ctx)
+    for di, disc in enumerate(pic.discs):
+        # the disc's clockwise reading from its first arc end
+        first = next(i for i, it in enumerate(disc.boundary) if it[0] == ARC)
+        lf = _corner_word_at(pic, di, first - 1)
+        ok = TriState.NO
+        for form in forms:
+            match = cyclic_letters_conjugate(lf, form, ctx)
+            if match == TriState.YES:
+                ok = match
+                break
+            if match == TriState.UNKNOWN:
+                ok = match
         detail = "" if ok == TriState.YES else (
             "corner word matches no relator rotation" if ok == TriState.NO
             else "corner word match undecided")
@@ -356,7 +340,7 @@ def validate_picture(pic: Picture, p, ctx) -> ValidationReport:
             problems.append(f"inner region {ri} has non-trivial label")
     ok = not problems and all(d.ok == TriState.YES for d in disc_checks)
     return ValidationReport(ok, tuple(problems), tuple(disc_checks),
-                            tuple(checked_regions), _connected(pic),
+                            tuple(checked_regions), connected,
                             spherical, strictly, distinguished)
 
 
@@ -365,18 +349,13 @@ def _corner_word_at(pic: Picture, disc: int, pos: int) -> list:
     ends with the corner's own label, as letter form."""
     b = pic.discs[disc].boundary
     n = len(b)
-    assert b[pos][0] == CORNER
     letters = []
-    j = pos
-    for _ in range(n // 2):
-        j = (j + 1) % n
-        item = b[j]
-        assert item[0] == ARC
+    for j in range(pos + 1, pos + 1 + n, 2):
+        item, corner = b[j % n], b[(j + 1) % n]
+        if item[0] != ARC or corner[0] != CORNER:
+            raise ValueError(f"disc {disc} does not alternate arcs and corners")
         arc = pic.arcs[item[1]]
-        j = (j + 1) % n
-        corner = b[j]
         letters.append((arc.label, arc.end_sign(item[2]), corner[1]))
-    assert j == pos
     return letters
 
 
@@ -419,7 +398,8 @@ def cancel_dipole(pic: Picture, d: Dipole) -> Picture:
     locs = _end_locations(pic)
     disc_a = d.corner_a[0]
     disc_b = d.corner_b[0]
-    assert disc_a != disc_b
+    if disc_a == disc_b:
+        raise ValueError("a dipole joins two distinct discs")
 
     def ends_after_connector(disc):
         b = pic.discs[disc].boundary
@@ -435,16 +415,18 @@ def cancel_dipole(pic: Picture, d: Dipole) -> Picture:
 
     ea = ends_after_connector(disc_a)
     eb = ends_after_connector(disc_b)
-    assert len(ea) == len(eb)
+    if len(ea) != len(eb):
+        raise ValueError("the dipole's discs have different degrees")
     splice = {}
     for i, end_a in enumerate(ea):
         end_b = eb[len(eb) - 1 - i]
         splice[end_a] = end_b
         splice[end_b] = end_a
-        sa = pic.arcs[end_a[0]].end_sign(end_a[1])
-        sb = pic.arcs[end_b[0]].end_sign(end_b[1])
-        assert pic.arcs[end_a[0]].label == pic.arcs[end_b[0]].label
-        assert sa == -sb, "spliced ends must cross the normal oppositely"
+        arc_a, arc_b = pic.arcs[end_a[0]], pic.arcs[end_b[0]]
+        if (arc_a.label != arc_b.label
+                or arc_a.end_sign(end_a[1]) != -arc_b.end_sign(end_b[1])):
+            raise ValueError("spliced ends must carry one label and cross "
+                             "the normal oppositely")
 
     # walk chains of spliced segments; chains with two free ports become
     # arcs of the new picture, fully spliced chains become dropped circles
@@ -480,16 +462,16 @@ def cancel_dipole(pic: Picture, d: Dipole) -> Picture:
         seen_arc.update(visited)
         if not chain_ends:
             continue  # closed circle: dropped
-        assert len(chain_ends) == 2
         p0, p1 = chain_ends
         label = pic.arcs[p0[0]].label
         s0 = pic.arcs[p0[0]].end_sign(p0[1])
+        if pic.arcs[p1[0]].end_sign(p1[1]) != -s0:
+            raise ValueError("a spliced arc's ends must cross the normal "
+                             "oppositely")
         nid = len(new_arcs)
         new_arcs.append(Arc(label, s0))
         port_of[p0] = (nid, 0)
         port_of[p1] = (nid, 1)
-        s1 = pic.arcs[p1[0]].end_sign(p1[1])
-        assert s1 == -s0
 
     def remap_boundary(items):
         out = []
@@ -497,7 +479,7 @@ def cancel_dipole(pic: Picture, d: Dipole) -> Picture:
             if it[0] == ARC:
                 key = (it[1], it[2])
                 if key not in port_of:
-                    raise AssertionError("dangling arc end after splice")
+                    raise ValueError("dangling arc end after splice")
                 nid, ne = port_of[key]
                 out.append((ARC, nid, ne))
             else:
@@ -645,6 +627,10 @@ def picture_from_json(text: str):
         raise ValueError(f"picture is not JSON: {err}") from None
     try:
         arcs = tuple(Arc(a["label"], a["orient"]) for a in data["arcs"])
+        for ai, arc in enumerate(arcs):
+            if arc.orient not in (1, -1):
+                raise ValueError(f"arc {ai}: orient must be 1 or -1, "
+                                 f"not {arc.orient!r}")
         discs = []
         for d in data["discs"]:
             items = []

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import importlib
+
 import pytest
 
 from relasph.classify import (
@@ -11,6 +14,7 @@ from relasph.classify import (
     instance_from_presentation,
     verify_verdict,
 )
+from relasph import coset
 from relasph.coset import enumerate_cosets
 from relasph.words import (
     CoefficientGroup,
@@ -319,6 +323,27 @@ def test_fabricated_verdict_is_fatal():
     assert any(c.status == "fatal" for c in rep.checks)
 
 
+def test_claimed_order_check_runs_one_enumeration(monkeypatch):
+    # one order policy: when the cyclic route hits the cap the check is
+    # skipped, with no second, larger enumeration after it
+    inst = cyc(5, 2, -1, 2, 1)
+    v = classify(inst, 10 ** 4)
+    assert v.expected_core_order == 55
+    calls = []
+
+    def counting(pres, subgroup_words, *args, **kwargs):
+        calls.append(list(subgroup_words))
+        return enumerate_cosets(pres, subgroup_words, *args, **kwargs)
+
+    monkeypatch.setattr(coset, "enumerate_cosets", counting)
+    monkeypatch.setattr(importlib.import_module("relasph.classify"),
+                        "enumerate_cosets", counting)
+    rep = verify_verdict(inst, v, 5)
+    assert [(c.name, c.status) for c in rep.checks] == [
+        ("claimed-order", "skipped")]
+    assert calls == [[(("h", 1),)]]
+
+
 def test_aspherical_yes_never_with_dr_no():
     from relasph.classify import CaseVerdict
     inst = cyc(5, 2, -1, 2, 1)
@@ -326,3 +351,38 @@ def test_aspherical_yes_never_with_dr_no():
     rep = verify_verdict(inst, fake, 10 ** 4)
     assert any(c.name == "internal-consistency" and c.status == "fatal"
                for c in rep.checks)
+
+
+# The benchmark's classify grid cut to Z_n with n <= 9, plus its three
+# non-cyclic groups: 25,272 instances that reach every rule the full grid
+# (n <= 12) reaches.  E-E1/E-E2 need n = 9; case P and AAE-E need Z2xZ4.
+_GRID_EXPONENTS = [(l, k) for l in range(1, 7) for k in range(-6, 7) if k]
+_GRID_GROUPS = (
+    ("group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>",
+     ("g", "h", "h^-1", "g h", "h g", "g h^-1", "g h g")),
+    ("group <g, h | g^3, h^3, g h g^-1 h^-1>",
+     ("g", "h", "g^-1", "h^-1", "g h", "g h^-1", "g^-1 h")),
+    ("group <a, b | a^2, b^4, a b a^-1 b^-1>",
+     ("a", "b", "b^2", "b^-1", "a b", "a b^2", "a b^-1")),
+)
+# sha256 of the newline-joined verdict lines, recorded from the classifier
+# with one hand-written block per exponent row
+_GRID_DIGEST = "e56b0e3c1f6b94a7d2a7e02c8580d782096e60244e9c8f6b2b6a4d9aefb962b4"
+
+
+def test_verdicts_match_the_recorded_grid():
+    texts = [f"group <h | h^{n}>; x; rel x^{l} h^{a} x^{k} h^{b}"
+             for n in range(2, 10) for l, k in _GRID_EXPONENTS
+             for a in range(1, n) for b in range(1, n)]
+    texts += [f"{group}; x; rel x^{l} {gw} x^{k} {hw}"
+              for group, words in _GRID_GROUPS for l, k in _GRID_EXPONENTS
+              for gw in words for hw in words]
+    lines = []
+    for text in texts:
+        inst = instance_from_presentation(parse_presentation(text), 1000)
+        v = classify(inst, 1000)
+        lines.append(f"{v.summary()} | {v.detail} | hits={','.join(v.case_hits)}"
+                     f" | blockers={';'.join(v.blockers)}")
+    assert len(lines) == 25272
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _GRID_DIGEST

@@ -49,6 +49,27 @@ def test_classify_malformed_file_exits_2(tmp_path, capsys):
     assert err.value.code == 2
 
 
+def test_classify_unreducible_relator_is_open(tmp_path, capsys):
+    # at cap 4 the oracle cannot tell whether g is trivial in S3 x Z3, so the
+    # relator's length-four shape is undecided: an open verdict, not a crash
+    f = tmp_path / "p.txt"
+    f.write_text("group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>; x; "
+                 "rel x^2 g x^-1 h")
+    rc, out, err = run(capsys, "classify", str(f), "--cap", "4", "--verify")
+    assert rc == 0 and err == ""
+    assert out.startswith("OpenCase; dr=unknown; rule=open-blocked\n")
+    assert "  instance: <G, x | x^2 g x^-1 h>\n" in out
+    assert "  blocked on: cannot decide triviality of g\n" in out
+    assert "[skipped] order-checks" in out
+    rc, out, err = run(capsys, "classify", str(f), "--cap", "4",
+                       "--format", "json")
+    data = json.loads(out)
+    assert rc == 0 and err == ""
+    assert data["aspherical"] == data["dr"] == "unknown"
+    assert data["rule"] == "open-blocked"
+    assert data["blockers"] == ["cannot decide triviality of g"]
+
+
 def test_classify_presentation_file(tmp_path, capsys):
     f = tmp_path / "p.txt"
     f.write_text("group <g | g^4>; x; rel x^4 g x^-3 g^2")
@@ -184,7 +205,9 @@ def test_table1_only_filter(capsys):
      "error: picture lacks the key 'arcs'"),
     (lambda text: text.replace('"group <', '"grope <'),
      "error: picture's presentation: expected keyword 'group'"),
-], ids=("not-json", "missing-key", "bad-presentation"))
+    (lambda text: text.replace('"orient": 1', '"orient": "1"', 1),
+     "error: arc 0: orient must be 1 or -1, not '1'"),
+], ids=("not-json", "missing-key", "bad-presentation", "string-orient"))
 def test_picture_malformed_file_exits_2(fixtures_dir, tmp_path, capsys,
                                         mangle, error):
     f = tmp_path / "pic.json"
@@ -192,6 +215,31 @@ def test_picture_malformed_file_exits_2(fixtures_dir, tmp_path, capsys,
     rc, out, err = run(capsys, "picture", str(f))
     assert rc == 2 and out == ""
     assert err.startswith(error) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mangle,args", [
+    (lambda d: d["discs"][0]["boundary"].__setitem__(0, {"arc": 2, "end": 1}),
+     ("--reduce", "--curvature")),
+    (lambda d: d.__setitem__("discs", []), ("--reduce", "--curvature")),
+], ids=("end-at-wrong-arc", "no-discs"))
+def test_picture_broken_map_exits_2(fixtures_dir, tmp_path, capsys, mangle,
+                                    args):
+    data = json.loads((fixtures_dir / "fig2.json").read_text())
+    mangle(data)
+    f = tmp_path / "pic.json"
+    f.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "picture", str(f), *args)
+    assert rc == 2 and "valid: NO" in out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["order", "picture"])
+def test_format_is_not_an_option_of(fixtures_dir, capsys, command):
+    target = ("--cyclic", "5", "--l", "2", "--k", "1", "--g", "2", "--h", "1") \
+        if command == "order" else (str(fixtures_dir / "fig2.json"),)
+    with pytest.raises(SystemExit) as err:
+        run(capsys, command, *target, "--format", "json")
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("text", [None, "group <g | g^2> x; rel x"],

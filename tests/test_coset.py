@@ -193,6 +193,17 @@ def test_order_via_cyclic_subgroup_cross_check():
     assert via == OrderResult.finite(9072)
 
 
+def test_order_via_cyclic_subgroup_falls_back_to_group_order():
+    # |a| = 2 in A5, but A5 is perfect, so the abelianized order (1) cannot
+    # pin it; (a b) has no power relator at all
+    assert order_via_cyclic_subgroup(A5, (("a", 1),), 10 ** 4) == \
+        OrderResult.finite(60)
+    assert order_via_cyclic_subgroup(S3, (("a", 1), ("b", 1)), 10 ** 4) == \
+        OrderResult.finite(6)
+    assert order_via_cyclic_subgroup(A5, (("a", 1),), 10) == \
+        OrderResult.exceeds(10)
+
+
 def test_big_example_order_2361960():
     pres = P(["g", "x"], [[("g", 8)], [("x", 2), ("g", 2), ("x", -1), ("g", 1)]])
     r = order_via_cyclic_subgroup(pres, (("g", 1),), 3 * 10 ** 6)

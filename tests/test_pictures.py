@@ -11,8 +11,10 @@ from relasph.pictures import (
     CORNER,
     AngleFunction,
     Arc,
+    Dipole,
     Disc,
     Picture,
+    _corner_word_at,
     cancel_dipole,
     curvature,
     curvature_formula,
@@ -89,6 +91,19 @@ def test_fig1a_dipole_found_and_cancelled(fig1a):
     rep2 = validate_picture(out, pres, ctx)
     assert rep2.ok, rep2.problems
     assert find_dipole(out, pres, ctx) is None
+
+
+def test_bad_dipole_is_rejected(fig1a):
+    # raised errors, not asserts, so that they hold under python -O
+    pic, pres, ctx = fig1a
+    d = find_dipole(pic, pres, ctx)
+    with pytest.raises(ValueError, match="distinct discs"):
+        cancel_dipole(pic, Dipole(d.arc, d.region, d.corner_a, d.corner_a))
+    flipped = (*pic.arcs[:1], Arc("x", -1), *pic.arcs[2:])
+    with pytest.raises(ValueError, match="oppositely"):
+        cancel_dipole(Picture(pic.discs, flipped, pic.outer), d)
+    with pytest.raises(ValueError, match="alternate"):
+        _corner_word_at(pic, 0, 0)  # position 0 holds an arc end
 
 
 def test_empty_picture(fig1a):
