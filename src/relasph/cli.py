@@ -2,12 +2,19 @@
 
 Subcommands: classify, table1, order, stargraph, weighttest, picture.
 Budget exhaustion is reported in the output and exits 0 (scientific
-openness is not a tool failure); malformed input exits 2 with a one-line
-error, among it parse errors, a cap outside 1..coset.MAX_CAP, a
-non-integer ASPH_COSET_CAP, a bad --subgroup word, a malformed picture
-file, and a picture that cannot be reduced or measured; table mismatches
-and fatal verification inconsistencies exit 1.  The environment variable
-ASPH_COSET_CAP overrides the default coset cap.
+openness is not a tool failure).  Malformed input exits 2 with one line
+on stderr that starts with ``error: ``: a presentation, ``--subgroup``
+word, weights file or picture file that does not parse, or that is not
+UTF-8 text; a file that cannot be read; a cap outside 1..coset.MAX_CAP, a
+non-integer ASPH_COSET_CAP or a non-positive bound; ``--cyclic`` without
+all four of --l, --k, --g and --h, or neither a file nor ``--cyclic``; an
+instance that is not of length four (l = 0 among them); a relator without
+x-letters where a star graph or picture needs one; a picture corner
+naming a generator its group lacks; and a picture that cannot be reduced
+or measured, after its report.  Every such error is a ValueError (or an
+OSError) caught once, in `main`.  Table mismatches and fatal verification
+inconsistencies exit 1.  The environment variable ASPH_COSET_CAP overrides
+the default coset cap.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from .pictures import (
 from .stargraph import build_star_graph, to_dot
 from .weights import WeightFunction, check_weight_function, search_weight_function
 from .words import (
-    ParseError,
     TriState,
     UndecidedError,
     parse_presentation,
@@ -63,36 +69,30 @@ def default_cap() -> int:
             f"ASPH_COSET_CAP must be an integer, not {env!r}") from None
 
 
-def _bad_argument(args):
-    """What is wrong with the parsed arguments, or None."""
+def _check_arguments(args):
     if not 1 <= args.cap <= coset.MAX_CAP:
-        return f"--cap must be between 1 and {coset.MAX_CAP}, not {args.cap}"
+        raise ValueError(
+            f"--cap must be between 1 and {coset.MAX_CAP}, not {args.cap}")
     for name in ("bound", "denominator_bound"):
         if getattr(args, name, 1) < 1:
-            return f"--{name.replace('_', '-')} must be positive"
-    return None
+            raise ValueError(f"--{name.replace('_', '-')} must be positive")
+
+
+def _read(path) -> str:
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _load_presentation(args):
-    if getattr(args, "cyclic", None) is not None:
-        if args.l is None or args.k is None or args.g is None or args.h is None:
-            raise SystemExit("--cyclic requires --l, --k, --g and --h")
+    if args.cyclic is not None:
+        if None in (args.l, args.k, args.g, args.h):
+            raise ValueError("--cyclic requires --l, --k, --g and --h")
         inst = LengthFourInstance(
             cyclic_group(args.cyclic), (("h", args.g),), (("h", args.h),),
             args.l, args.k)
         return inst.presentation()
     if not args.presentation:
-        raise SystemExit("need a presentation file or --cyclic shorthand")
-    try:
-        text = open(args.presentation).read()
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        raise SystemExit(2)
-    try:
-        return parse_presentation(text)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("need a presentation file or --cyclic shorthand")
+    return parse_presentation(_read(args.presentation))
 
 
 def _tri(t: TriState) -> str:
@@ -104,9 +104,6 @@ def cmd_classify(args) -> int:
     cap = args.cap
     try:
         inst = instance_from_presentation(pres, cap)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except UndecidedError as err:
         # the budget cannot reduce the relator to its length-four shape
         inst = None
@@ -187,18 +184,8 @@ def cmd_table1(args) -> int:
 def cmd_order(args) -> int:
     pres = _load_presentation(args)
     lifted = lift(pres)
-    subgroup = []
-    if args.subgroup:
-        try:
-            subgroup = [parse_word(chunk) for chunk in args.subgroup.split(",")]
-        except ValueError as err:
-            print(f"error: --subgroup: {err}", file=sys.stderr)
-            return 2
-        unknown = {g for w in subgroup for g, _ in w} - set(lifted.generators)
-        if unknown:
-            print(f"error: --subgroup: unknown generator {min(unknown)!r}",
-                  file=sys.stderr)
-            return 2
+    subgroup = [parse_word(chunk, lifted.generators, "--subgroup: ")
+                for chunk in args.subgroup.split(",")] if args.subgroup else []
     t = enumerate_cosets(lifted, subgroup, args.cap, strategy=args.strategy)
     if t.complete:
         print(f"Finite({t.n})" if not subgroup else f"Index({t.n})")
@@ -240,11 +227,7 @@ def cmd_weighttest(args) -> int:
         print("found weight function: "
               + ", ".join(f"{pid}: {w}" for pid, w in sorted(theta.weights.items())))
     else:
-        try:
-            theta = WeightFunction.from_text(graph, open(args.weights).read())
-        except (OSError, ValueError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+        theta = WeightFunction.from_text(graph, _read(args.weights))
     report = check_weight_function(graph, theta, ctx, mode=args.mode,
                                    bound=args.bound)
     if args.format == "json":
@@ -272,46 +255,38 @@ def cmd_weighttest(args) -> int:
 
 
 def cmd_picture(args) -> int:
-    try:
-        pic, pres = picture_from_json(Path(args.picture).read_text())
-        if args.presentation:
-            pres = parse_presentation(Path(args.presentation).read_text())
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    pres = parse_presentation(_read(args.presentation)) \
+        if args.presentation else None
+    pic, pres = picture_from_json(_read(args.picture), pres)
     if pres is None:
-        print("error: picture file carries no presentation; pass --presentation",
-              file=sys.stderr)
-        return 2
+        raise ValueError("picture file carries no presentation; "
+                         "pass --presentation")
     ctx = coset.context_for(pres.coeff, args.cap)
     report = validate_picture(pic, pres, ctx)
     for line in report.lines():
         print(line)
-    try:
-        if args.reduce:
-            steps = 0
-            cur = pic
-            while True:
-                d = find_dipole(cur, pres, ctx)
-                if d is None:
-                    break
-                cur = cancel_dipole(cur, d)
-                steps += 1
-                print(f"cancelled dipole at arc {d.arc} (region {d.region}); "
-                      f"{len(cur.discs)} discs remain")
-            if steps == 0:
-                print("reduced: no dipole found")
-            else:
-                print(f"reduced after {steps} cancellations")
-        if args.curvature:
-            per, total = curvature(pic, standard_angles(pic))
-            for ri, c in sorted(per.items()):
-                print(f"curvature of region {ri}: {c} pi")
-            print(f"total curvature: {total} pi")
-    except ValueError as err:
-        # a picture whose map is broken can be neither reduced nor measured
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    # a broken map still gets its report; reducing or measuring it then
+    # raises ValueError
+    if args.reduce:
+        steps = 0
+        cur = pic
+        while True:
+            d = find_dipole(cur, pres, ctx)
+            if d is None:
+                break
+            cur = cancel_dipole(cur, d)
+            steps += 1
+            print(f"cancelled dipole at arc {d.arc} (region {d.region}); "
+                  f"{len(cur.discs)} discs remain")
+        if steps == 0:
+            print("reduced: no dipole found")
+        else:
+            print(f"reduced after {steps} cancellations")
+    if args.curvature:
+        per, total = curvature(pic, standard_angles(pic))
+        for ri, c in sorted(per.items()):
+            print(f"curvature of region {ri}: {c} pi")
+        print(f"total curvature: {total} pi")
     return 0 if report.ok else 1
 
 
@@ -388,16 +363,13 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        cap = default_cap()
-    except ValueError as err:
+        args = build_parser(default_cap()).parse_args(argv)
+        _check_arguments(args)
+        return args.fn(args)
+    except (OSError, ValueError) as err:
+        # malformed input: readers and validators raise ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
-    args = build_parser(cap).parse_args(argv)
-    problem = _bad_argument(args)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -282,8 +282,10 @@ def validate_picture(pic: Picture, p, ctx) -> ValidationReport:
     try:
         regions = trace_regions(pic)
     except ValueError as err:
-        return ValidationReport(False, (str(err),), (), (), False, False,
-                                TriState.NO, None)
+        untraced = tuple(DiscCheck(di, TriState.UNKNOWN, "(map not traced)")
+                         for di in range(len(pic.discs)))
+        return ValidationReport(False, (str(err),), untraced, (), False,
+                                pic.spherical, TriState.NO, None)
     connected = _connected(pic)
     if not connected:
         problems.append("picture is not connected")
@@ -615,11 +617,14 @@ def picture_to_json(pic: Picture, presentation_text: Optional[str] = None) -> st
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def picture_from_json(text: str):
-    """Returns (Picture, presentation or None).
+def picture_from_json(text: str, presentation=None):
+    """Returns (Picture, presentation): `presentation` when given, else the
+    embedded one, else None.
 
-    Raises ValueError when the text is not JSON, lacks a key, has a value
-    of the wrong type, or embeds a presentation that does not parse.
+    Corner words are read against that presentation's coefficient
+    generators.  Raises ValueError when the text is not JSON, lacks a key,
+    has a value of the wrong type, embeds a presentation that does not
+    parse, or has a corner that is not a word over those generators.
     """
     try:
         data = json.loads(text)
@@ -631,23 +636,25 @@ def picture_from_json(text: str):
             if arc.orient not in (1, -1):
                 raise ValueError(f"arc {ai}: orient must be 1 or -1, "
                                  f"not {arc.orient!r}")
+        if "presentation" in data:
+            embedded = parse_presentation(data["presentation"])
+            presentation = presentation or embedded
+        gens = presentation.coeff.generators if presentation else None
         discs = []
-        for d in data["discs"]:
+        for di, d in enumerate(data["discs"]):
             items = []
             for item in d["boundary"]:
                 if "arc" in item:
                     items.append((ARC, item["arc"], item["end"]))
                 else:
-                    items.append((CORNER, parse_word(item["corner"])))
+                    items.append((CORNER, parse_word(
+                        item["corner"], gens, f"disc {di} corner: ")))
             discs.append(Disc(tuple(items)))
         outer = tuple((ARC, it["arc"], it["end"]) for it in data.get("outer", ()))
-        pres = None
-        if "presentation" in data:
-            pres = parse_presentation(data["presentation"])
     except KeyError as err:
         raise ValueError(f"picture lacks the key {err}") from None
     except (TypeError, AttributeError) as err:
         raise ValueError(f"malformed picture: {err}") from None
     except ParseError as err:
         raise ValueError(f"picture's presentation: {err}") from None
-    return Picture(tuple(discs), arcs, outer), pres
+    return Picture(tuple(discs), arcs, outer), presentation

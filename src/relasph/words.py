@@ -13,7 +13,8 @@ words and x-generator powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -128,14 +129,12 @@ def word_str(w: Word) -> str:
 class CoefficientGroup:
     """A finitely presented coefficient group.
 
-    `kind` is ``("cyclic", n)`` for presentations <g | g^n> and
-    ``("general",)`` otherwise.  Relators are stored freely and cyclically
-    reduced (reduction here is syntactic; it does not use group identities).
+    Relators are stored freely and cyclically reduced (reduction here is
+    syntactic; it does not use group identities).
     """
 
     generators: tuple
     relators: tuple
-    kind: tuple = field(init=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -143,12 +142,6 @@ class CoefficientGroup:
         rels = tuple(r for r in rels if r)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", rels)
-        kind = ("general",)
-        if len(gens) == 1 and len(rels) == 1:
-            (g, e), = rels[0] if len(rels[0]) == 1 else ((None, 0),)
-            if g == gens[0] and abs(e) >= 1:
-                kind = ("cyclic", abs(e))
-        object.__setattr__(self, "kind", kind)
 
     def free_factors(self) -> Optional[dict]:
         """Map generator -> modulus when this group is visibly a free
@@ -523,11 +516,17 @@ def mu(ctx, g: Word, h: Word) -> MuValue:
 class ParseError(ValueError):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{msg} (line {line}, column {col})")
+        self.msg = msg
         self.line = line
         self.col = col
 
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+# The grammar is ASCII: a name is [A-Za-z_][A-Za-z0-9_]*, an exponent -?[0-9]+.
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_DIGITS = frozenset("0123456789")
+_NAME_CHARS = _NAME_START | _DIGITS
+# a token as quoted in an error message: up to whitespace or punctuation
+_EXCERPT = re.compile(r"\s*([^\s,;<>|]*)")
 
 
 class _Tokenizer:
@@ -549,6 +548,12 @@ class _Tokenizer:
                 self.col += 1
         self.pos += n
 
+    def _take_run(self, chars) -> str:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in chars:
+            self._advance(1)
+        return self.text[start:self.pos]
+
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
             self._advance(1)
@@ -567,27 +572,17 @@ class _Tokenizer:
             self.error(f"expected {ch!r}")
 
     def take_name(self) -> Optional[str]:
-        c = self.peek()
-        if c is None or not (c.isalpha() or c == "_"):
+        if self.peek() not in _NAME_START:
             return None
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
-            self._advance(1)
-        return self.text[start:self.pos]
+        return self._take_run(_NAME_CHARS)
 
-    def take_int(self) -> int:
-        c = self.peek()
-        sign = 1
-        if c == "-":
-            self._advance(1)
-            sign = -1
-        digits = ""
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            digits += self.text[self.pos]
-            self._advance(1)
-        if not digits:
-            self.error("expected an integer")
-        return sign * int(digits)
+    def take_names(self) -> list:
+        """Names separated by commas or whitespace."""
+        names = []
+        while (name := self.take_name()) is not None:
+            names.append(name)
+            self.take_punct(",")
+        return names
 
     def take_keyword(self, kw: str) -> bool:
         save = (self.pos, self.line, self.col)
@@ -601,48 +596,58 @@ class _Tokenizer:
         if not self.take_keyword(kw):
             self.error(f"expected keyword {kw!r}")
 
+    def take_token(self) -> Optional[tuple]:
+        """``name`` or ``name^exp`` as (name, exp), or None before a
+        non-name; the exponent is a non-zero integer."""
+        start = self.pos
+        name = self.take_name()
+        if name is None:
+            return None
+        if not self.take_punct("^"):
+            return name, 1
+        sign = -1 if self.take_punct("-") else 1
+        digits = self._take_run(_DIGITS)
+        if not digits or int(digits) == 0:
+            token = _EXCERPT.match(self.text, start).group(1)
+            self.error(f"{'zero' if digits else 'bad'} exponent in {token!r}")
+        return name, sign * int(digits)
 
-def _parse_token(tz: _Tokenizer):
-    name = tz.take_name()
-    if name is None:
-        return None
-    exp = 1
-    if tz.take_punct("^"):
-        exp = tz.take_int()
-        if exp == 0:
-            tz.error("zero exponent")
-    return name, exp
+    def take_word(self, known=None) -> list:
+        """One or more tokens; with `known`, every name must be in it."""
+        toks = []
+        while (tok := self.take_token()) is not None:
+            toks.append(tok)
+        if not toks:
+            self.error("expected a word")
+        if known is not None:
+            self.check_known(toks, known, "unknown generator")
+        return toks
+
+    def check_known(self, toks, known, what: str):
+        for name, _ in toks:
+            if name not in known:
+                self.error(f"{what} {name!r}")
 
 
-def _parse_word_tokens(tz: _Tokenizer) -> list:
-    toks = []
-    while True:
-        t = _parse_token(tz)
-        if t is None:
-            break
-        toks.append(t)
-    if not toks:
-        tz.error("expected a word")
-    return toks
+def parse_word(text: str, generators=None, where: str = "") -> Word:
+    """Parse a coefficient word: the presentation grammar's relator word
+    (whitespace-separated ``name`` or ``name^int`` tokens), or ``1`` (or
+    nothing) for the identity.  With `generators`, every name must be one
+    of them.
 
-
-def parse_word(text: str) -> Word:
-    """Parse a coefficient word: whitespace-separated ``name`` or
-    ``name^int`` tokens, or ``1`` (or nothing) for the identity.
-
-    The word comes back freely reduced; ValueError on a bad exponent.
+    The word comes back freely reduced.  Errors are ValueErrors carrying
+    no position, their message prefixed with `where`.
     """
-    text = text.strip()
-    if text in ("", "1"):
+    if text.strip() in ("", "1"):
         return ()
-    syls = []
-    for token in text.split():
-        name, caret, exp = token.partition("^")
-        try:
-            syls.append((name, int(exp) if caret else 1))
-        except ValueError:
-            raise ValueError(f"bad exponent in {token!r}") from None
-    return free_reduce(syls)
+    tz = _Tokenizer(text)
+    try:
+        toks = tz.take_word(generators)
+        if tz.peek() is not None:
+            tz.error(f"unexpected {tz.peek()!r} after the word")
+    except ParseError as err:
+        raise ValueError(where + err.msg) from None
+    return free_reduce(toks)
 
 
 def parse_presentation(text: str) -> RelativePresentation:
@@ -658,13 +663,7 @@ def parse_presentation(text: str) -> RelativePresentation:
     tz = _Tokenizer(text)
     tz.expect_keyword("group")
     tz.expect("<")
-    gens = []
-    while True:
-        name = tz.take_name()
-        if name is None:
-            break
-        gens.append(name)
-        tz.take_punct(",")
+    gens = tz.take_names()
     if not gens:
         tz.error("coefficient group needs at least one generator")
     tz.expect("|")
@@ -672,22 +671,14 @@ def parse_presentation(text: str) -> RelativePresentation:
     while tz.peek() != ">":
         if tz.peek() is None:
             tz.error("unterminated group presentation")
-        relators.append(tuple(_parse_word_tokens(tz)))
+        relators.append(tuple(tz.take_word()))
         if not tz.take_punct(","):
             break
     tz.expect(">")
     tz.expect(";")
     for rel in relators:
-        for g, _ in rel:
-            if g not in gens:
-                tz.error(f"relator uses unknown generator {g!r}")
-    x_gens = []
-    while True:
-        name = tz.take_name()
-        if name is None:
-            break
-        x_gens.append(name)
-        tz.take_punct(",")
+        tz.check_known(rel, gens, "relator uses unknown generator")
+    x_gens = tz.take_names()
     if not x_gens:
         tz.error("expected at least one x-generator")
     clash = set(x_gens) & set(gens)
@@ -698,15 +689,8 @@ def parse_presentation(text: str) -> RelativePresentation:
     rel_words = []
     while True:
         tz.expect_keyword("rel")
-        toks = _parse_word_tokens(tz)
-        syls = []
-        for name, exp in toks:
-            if name not in known:
-                tz.error(f"unknown generator {name!r}")
-            if name in x_gens:
-                syls.append((X, name, exp))
-            else:
-                syls.append((C, ((name, exp),)))
+        syls = [(X, name, exp) if name in x_gens else (C, ((name, exp),))
+                for name, exp in tz.take_word(known)]
         rel_words.append(FreeProductWord(tuple(syls)))
         if not tz.take_punct(";"):
             break

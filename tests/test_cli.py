@@ -44,9 +44,45 @@ def test_classify_json_is_deterministic(capsys):
 def test_classify_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "presentation.txt"
     bad.write_text("group <g g^4>; x; rel x")
-    with pytest.raises(SystemExit) as err:
-        run(capsys, "classify", str(bad))
-    assert err.value.code == 2
+    rc, out, err = run(capsys, "classify", str(bad))
+    assert rc == 2 and out == ""
+    assert err == "error: expected '|' (line 1, column 11)\n"
+
+
+_NO_X = "group <g | g^2>; x; rel g"
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("group <\u00e9 | >; x; rel x", ("classify", "{file}")),
+    ("group <g | g^\u00b2>; x; rel x g", ("classify", "{file}")),
+    (b"group <g | g^2>; x; rel x \xff", ("classify", "{file}")),
+    (_NO_X, ("stargraph", "{file}")),
+    (_NO_X, ("weighttest", "{file}", "search")),
+    (_NO_X, ("picture", "{fig2}", "--presentation", "{file}")),
+    ("group <g, h | h^2>; x; rel g h",
+     ("picture", "{fig2}", "--presentation", "{file}")),
+    (None, ("classify", "--cyclic", "5", "--l", "0", "--k", "1", "--g", "1",
+            "--h", "2")),
+    (None, ("classify", "--cyclic", "5", "--l", "2")),
+    (None, ("classify",)),
+    ("group <h | h^5>; x; rel x^2 h^2 x^-1 h",
+     ("order", "{file}", "--subgroup", "h^0")),
+    ("group <h | h^5>; x; rel x^2 h^2 x^-1 h",
+     ("order", "{file}", "--subgroup", "h^+1")),
+], ids=("non-ascii-name", "unicode-digit", "not-utf8", "stargraph-no-x",
+        "search-no-x", "picture-override-lacks-h", "picture-relator-no-x",
+        "l-zero", "cyclic-incomplete", "no-input", "subgroup-zero-exponent",
+        "subgroup-plus-sign"))
+def test_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, text, argv):
+    f = tmp_path / "p.txt"
+    if isinstance(text, bytes):
+        f.write_bytes(text)
+    elif text is not None:
+        f.write_text(text, encoding="utf-8")
+    argv = [a.format(file=f, fig2=fixtures_dir / "fig2.json") for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_classify_unreducible_relator_is_open(tmp_path, capsys):
@@ -207,7 +243,10 @@ def test_table1_only_filter(capsys):
      "error: picture's presentation: expected keyword 'group'"),
     (lambda text: text.replace('"orient": 1', '"orient": "1"', 1),
      "error: arc 0: orient must be 1 or -1, not '1'"),
-], ids=("not-json", "missing-key", "bad-presentation", "string-orient"))
+    (lambda text: text.replace('{"corner": "h^-1"}', '{"corner": "q"}', 1),
+     "error: disc 0 corner: unknown generator 'q'"),
+], ids=("not-json", "missing-key", "bad-presentation", "string-orient",
+        "unknown-corner-generator"))
 def test_picture_malformed_file_exits_2(fixtures_dir, tmp_path, capsys,
                                         mangle, error):
     f = tmp_path / "pic.json"
@@ -217,19 +256,24 @@ def test_picture_malformed_file_exits_2(fixtures_dir, tmp_path, capsys,
     assert err.startswith(error) and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("mangle,args", [
+@pytest.mark.parametrize("mangle,args,summary", [
     (lambda d: d["discs"][0]["boundary"].__setitem__(0, {"arc": 2, "end": 1}),
-     ("--reduce", "--curvature")),
-    (lambda d: d.__setitem__("discs", []), ("--reduce", "--curvature")),
+     ("--reduce", "--curvature"),
+     "discs: 4, regions: 0, connected: False, spherical: True"),
+    (lambda d: d.__setitem__("discs", []), ("--reduce", "--curvature"),
+     "discs: 0, regions: 0, connected: False, spherical: False"),
 ], ids=("end-at-wrong-arc", "no-discs"))
 def test_picture_broken_map_exits_2(fixtures_dir, tmp_path, capsys, mangle,
-                                    args):
+                                    args, summary):
     data = json.loads((fixtures_dir / "fig2.json").read_text())
     mangle(data)
     f = tmp_path / "pic.json"
     f.write_text(json.dumps(data))
     rc, out, err = run(capsys, "picture", str(f), *args)
     assert rc == 2 and "valid: NO" in out
+    # the report counts the picture's own discs although the map cannot
+    # be traced
+    assert summary + "\n" in out
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import signal
+import string
 
 import pytest
 
@@ -27,6 +29,7 @@ from relasph.words import (
     letter_form,
     mu,
     parse_presentation,
+    parse_word,
     winv,
     wmul,
     xsyl,
@@ -35,7 +38,7 @@ from relasph.words import (
 
 def test_parse_example_relator():
     p = parse_presentation("group <g | g^4>; x; rel x^4 g x^-3 g^2")
-    assert p.coeff.kind == ("cyclic", 4)
+    assert p.coeff.free_factors() == {"g": 4}
     assert p.relators[0].syllables == (
         (X, "x", 4), (C, (("g", 1),)), (X, "x", -3), (C, (("g", 2),)))
 
@@ -65,6 +68,72 @@ def test_parse_errors_carry_position():
         parse_presentation("group <g | g^2>; g; rel g g")
     with pytest.raises(ParseError, match="unknown generator"):
         parse_presentation("group <g | g^2>; x; rel x q")
+
+
+# the two table1 examples with non-cyclic coefficients, and grid shapes
+_GRAMMAR_TEXTS = (
+    "group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>; x; rel x^2 g x^-1 h",
+    "group <g, h | g^3, h^3, g h g^-1 h^-1>; x; rel x^2 g x^-1 h",
+    "group <h | h^12>; x; rel x^6 h^5 x^-6 h^11",
+    "group <a, b | a^2, b^4, a b a^-1 b^-1>; x; rel x^3 a b^-1 x^-2 b^2",
+)
+_MUTATION_CHARS = string.ascii_letters + string.digits + "^-,;<>| \t\n\u00e9\u00b2\u0663"
+
+
+def _no_hang(signum, frame):
+    raise TimeoutError("the parser did not return")
+
+
+def test_presentation_mutants_parse_or_raise_parse_error():
+    # one-character insertions and replacements, non-ASCII letters and
+    # digits among them: each mutant parses or raises ParseError, and none
+    # hangs the tokenizer
+    rng = random.Random(20261018)
+    outcomes = set()
+    previous = signal.signal(signal.SIGALRM, _no_hang)
+    signal.alarm(60)
+    try:
+        for _ in range(2000):
+            text = rng.choice(_GRAMMAR_TEXTS)
+            i = rng.randrange(len(text))
+            cut = i + rng.randrange(2)  # insert before or replace text[i]
+            mutant = text[:i] + rng.choice(_MUTATION_CHARS) + text[cut:]
+            try:
+                parse_presentation(mutant)
+                outcomes.add("parsed")
+            except ParseError:
+                outcomes.add("rejected")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert outcomes == {"parsed", "rejected"}
+
+
+def test_parse_word_accepts_the_relator_words():
+    # parse_word reads exactly what a relator word of the presentation
+    # grammar reads, plus "1" and "" for the identity
+    rng = random.Random(5)
+    pieces = ("g", "h", "x", "q", "gh", "_", "g^2", "h^-1", "^", "-", "0",
+              "1", "3", "+", " ", "\u00e9", "\u00b2", "\u0663")
+    accepted = 0
+    for _ in range(1000):
+        w = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 5)))
+        if w.strip() in ("", "1"):
+            assert parse_word(w) == ()
+            continue
+        try:
+            rel = parse_presentation(f"group <g, h | >; x; rel {w}").relators[0]
+            want = free_reduce((s[1], s[2]) if s[0] == X else s[1][0]
+                               for s in rel.syllables)
+        except ParseError:
+            want = None
+        try:
+            got = parse_word(w, ("g", "h", "x"))
+        except ValueError:
+            got = None
+        assert got == want, w
+        accepted += got is not None
+    assert accepted >= 50
 
 
 def test_cyclic_reduction_examples():
