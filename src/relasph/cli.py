@@ -5,7 +5,8 @@ Budget exhaustion is reported in the output and exits 0 (scientific
 openness is not a tool failure).  Malformed input exits 2 with one line
 on stderr that starts with ``error: ``: a presentation, ``--subgroup``
 word, weights file or picture file that does not parse, or that is not
-UTF-8 text; a file that cannot be read; a cap outside 1..coset.MAX_CAP, a
+UTF-8 text; a file that cannot be read; a ``--cap`` or ASPH_COSET_CAP
+outside 1..coset.MAX_CAP (the message names the one at fault), a
 non-integer ASPH_COSET_CAP or a non-positive bound; ``--cyclic`` without
 all four of --l, --k, --g and --h, or neither a file nor ``--cyclic``; an
 instance that is not of length four (l = 0 among them); a relator without
@@ -57,22 +58,28 @@ from .words import (
 )
 
 
+def _check_cap(cap: int, name: str) -> int:
+    if not 1 <= cap <= coset.MAX_CAP:
+        raise ValueError(
+            f"{name} must be between 1 and {coset.MAX_CAP}, not {cap}")
+    return cap
+
+
 def default_cap() -> int:
     """ASPH_COSET_CAP if set, else the library's default cap."""
     env = os.environ.get("ASPH_COSET_CAP")
     if not env:
         return coset.DEFAULT_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise ValueError(
             f"ASPH_COSET_CAP must be an integer, not {env!r}") from None
+    return _check_cap(cap, "ASPH_COSET_CAP")
 
 
 def _check_arguments(args):
-    if not 1 <= args.cap <= coset.MAX_CAP:
-        raise ValueError(
-            f"--cap must be between 1 and {coset.MAX_CAP}, not {args.cap}")
+    _check_cap(args.cap, "--cap")
     for name in ("bound", "denominator_bound"):
         if getattr(args, name, 1) < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be positive")

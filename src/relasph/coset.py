@@ -53,7 +53,8 @@ _INT = array("i").itemsize
 # coset numbers run up to cap + 1 and must fit the table's signed C ints
 MAX_CAP = (1 << (8 * _INT - 1)) - 2
 
-# rows of the first allocation; _grow doubles it in place, by 2^21 rows at most
+# rows of the first allocation, and the least rows _grow adds; past 8 * _CHUNK
+# rows it adds an eighth of the table
 _CHUNK = 1 << 10
 
 
@@ -108,13 +109,15 @@ class CosetTable:
     Rows are 1-based; row entries give the action of each generator column
     (column 2i is generator i, column 2i+1 its inverse; 0 = undefined).
     Complete tables are compacted so live cosets are exactly 1..n.
+    ``subs`` holds the subgroup generators as column tuples.
     """
 
-    def __init__(self, pres: LiftedPresentation, tab: array, n: int,
-                 status: str, cap: int, total_defined: int):
+    def __init__(self, pres: LiftedPresentation, subs: tuple, tab: array,
+                 n: int, status: str, cap: int, total_defined: int):
         self.pres = pres
         self.gen_index = {g: i for i, g in enumerate(pres.generators)}
         self.ncols = 2 * len(pres.generators)
+        self.subs = subs
         self.tab = tab
         self.n = n  # number of live cosets (== rows after compaction)
         self.status = status  # 'complete' | 'budget'
@@ -137,23 +140,38 @@ class CosetTable:
                     return 0
         return a
 
+    def _image(self, a: int, cols) -> int:
+        tab, W = self.tab, self.ncols
+        for c in cols:
+            a = tab[a * W + c]
+        return a
+
     def check(self) -> None:
-        """Assert inverse consistency and relator closure (test support)."""
-        W = self.ncols
+        """Raise ValueError unless the table is complete, every entry is a
+        coset whose inverse entry leads back, every relator closes at every
+        coset and every subgroup generator fixes coset 1.
+
+        The checks raise rather than assert, so they hold under python -O.
+        """
+        tab, W, n = self.tab, self.ncols, self.n
         if not self.complete:
             raise ValueError("check() requires a complete table")
-        for a in range(1, self.n + 1):
+        for a in range(1, n + 1):
             for c in range(W):
-                b = self.tab[a * W + c]
-                assert 1 <= b <= self.n, f"entry ({a},{c}) undefined"
-                assert self.tab[b * W + (c ^ 1)] == a, "inverse inconsistency"
+                b = tab[a * W + c]
+                if not 1 <= b <= n:
+                    raise ValueError(f"entry ({a},{c}) = {b} is not a coset")
+                if tab[b * W + (c ^ 1)] != a:
+                    raise ValueError(f"entry ({a},{c}) is inverse-inconsistent")
         for rel in self.pres.relators:
             cols = _word_cols(rel, self.gen_index)
-            for a in range(1, self.n + 1):
-                b = a
-                for c in cols:
-                    b = self.tab[b * W + c]
-                assert b == a, f"relator {rel} does not close at {a}"
+            for a in range(1, n + 1):
+                if self._image(a, cols) != a:
+                    raise ValueError(f"relator {rel} does not close at {a}")
+        for cols in self.subs:
+            if self._image(1, cols) != 1:
+                raise ValueError(
+                    f"subgroup generator {cols} does not fix coset 1")
 
 
 def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
@@ -172,7 +190,8 @@ def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
         raise ValueError(f"cap must be between 1 and {MAX_CAP}")
     gen_index = {g: i for i, g in enumerate(pres.generators)}
     rels = [_word_cols(r, gen_index) for r in pres.relators]
-    subs = [_word_cols(free_reduce(w), gen_index) for w in subgroup_words]
+    subs = tuple(_word_cols(free_reduce(w), gen_index)
+                 for w in subgroup_words)
     if strategy == "hlt":
         e = _Enum(len(pres.generators), rels, subs, cap)
         status = e.run_hlt(lookahead=lookahead)
@@ -183,9 +202,10 @@ def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
         raise ValueError(f"unknown strategy {strategy!r}")
     if status == "budget":
         # the partial action carries no completed answers; drop it
-        return CosetTable(pres, array("i"), e.nlive, status, cap, e.total_defined)
+        return CosetTable(pres, subs, array("i"), e.nlive, status, cap,
+                          e.total_defined)
     n = e.compact()  # truncates the working table to rows 0..n
-    return CosetTable(pres, e.tab, n, status, cap, e.total_defined)
+    return CosetTable(pres, subs, e.tab, n, status, cap, e.total_defined)
 
 
 class _Enum:
@@ -194,12 +214,15 @@ class _Enum:
     The table is a flat typed array of C ints indexed ``coset * W +
     column``, and the union-find parents ``p`` are one too, so a row costs
     4 * (W + 1) bytes: 20 B with two generators.  Python lists cost 8 B a
-    slot plus a boxed int for every entry above 256; on the benchmark's
-    table1 workload peak RSS per row fell from 166 B with lists to 35 B
-    (allocation slack and the coincidence queue included).  Rows are
-    materialised in chunks so small enumerations under a large default
-    cap stay cheap; entries of ``p`` above ``nrows`` are set when their
-    row is defined.
+    slot plus a boxed int for every entry above 256.
+
+    ``_grow`` adds max(alloc / 8, _CHUNK) zeroed rows, clipped at cap + 1,
+    so small enumerations under a large default cap stay cheap and unused
+    rows stay under 1/8 of a large table; entries of ``p`` above ``nrows``
+    are set when their row is defined.  ``compact`` renumbers through
+    ``p`` itself rather than a remap array, and ``_coincidence`` holds its
+    queue one generation of dead cosets at a time rather than every coset
+    the coincidence kills.
     """
 
     def __init__(self, ngens: int, rels, subs, cap: int):
@@ -221,7 +244,7 @@ class _Enum:
     # -- low level ---------------------------------------------------------
 
     def _grow(self):
-        add = min(self.alloc, 1 << 21)
+        add = max(self.alloc >> 3, _CHUNK)
         if self.alloc + add > self.cap + 1:
             add = self.cap + 1 - self.alloc
         # bytes(n) is calloc'd, so the zero source costs no resident pages
@@ -260,6 +283,7 @@ class _Enum:
         W = self.W
         q = array("i")
         ded = self.dedstack if deductions else None
+        dead = 0
 
         # merge(a, b), with union-find reps inlined throughout
         phi = a
@@ -274,45 +298,38 @@ class _Enum:
             p[psi] = phi
             q.append(psi)
         cols = self.cols
-        # each merge appends the dead coset, so iterating q visits it too
-        for y in q:
-            base = y * W
-            # y is dead: its rep search starts at p[y] and resumes from the
-            # last rep found, since a rep changes only by being merged
-            # under a smaller root
-            mu = p[y]
-            for c, ci in cols:
-                d = tab[base + c]
-                if d == 0:
-                    continue
-                tab[d * W + ci] = 0
-                if ded is not None:
-                    ded.append((d, ci))
-                while p[mu] != mu:
-                    mu = p[mu]
-                nu = d
-                if p[d] != d:
-                    while p[nu] != nu:
-                        nu = p[nu]
-                    k = d
-                    while p[k] != nu:
-                        p[k], k = nu, p[k]
-                t = tab[mu * W + c]
-                if t:
-                    phi = nu
-                    psi = t
-                    while p[psi] != psi:
-                        psi = p[psi]
-                    if phi != psi:
-                        if phi > psi:
-                            phi, psi = psi, phi
-                        p[psi] = phi
-                        q.append(psi)
-                else:
-                    t2 = tab[nu * W + ci]
-                    if t2:
-                        phi = mu
-                        psi = t2
+        # each merge appends the dead coset to q.  Taking q a generation at
+        # a time visits the dead in the same FIFO order as iterating a
+        # growing queue, but holds two generations, not every dead coset
+        while q:
+            batch, q = q, array("i")
+            dead += len(batch)
+            for y in batch:
+                base = y * W
+                # y is dead: its rep search starts at p[y] and resumes from the
+                # last rep found, since a rep changes only by being merged
+                # under a smaller root
+                mu = p[y]
+                for c, ci in cols:
+                    d = tab[base + c]
+                    if d == 0:
+                        continue
+                    tab[d * W + ci] = 0
+                    if ded is not None:
+                        ded.append((d, ci))
+                    while p[mu] != mu:
+                        mu = p[mu]
+                    nu = d
+                    if p[d] != d:
+                        while p[nu] != nu:
+                            nu = p[nu]
+                        k = d
+                        while p[k] != nu:
+                            p[k], k = nu, p[k]
+                    t = tab[mu * W + c]
+                    if t:
+                        phi = nu
+                        psi = t
                         while p[psi] != psi:
                             psi = p[psi]
                         if phi != psi:
@@ -321,11 +338,23 @@ class _Enum:
                             p[psi] = phi
                             q.append(psi)
                     else:
-                        tab[mu * W + c] = nu
-                        tab[nu * W + ci] = mu
-                        if ded is not None:
-                            ded.append((mu, c))
-        self.nlive -= len(q)
+                        t2 = tab[nu * W + ci]
+                        if t2:
+                            phi = mu
+                            psi = t2
+                            while p[psi] != psi:
+                                psi = p[psi]
+                            if phi != psi:
+                                if phi > psi:
+                                    phi, psi = psi, phi
+                                p[psi] = phi
+                                q.append(psi)
+                        else:
+                            tab[mu * W + c] = nu
+                            tab[nu * W + ci] = mu
+                            if ded is not None:
+                                ded.append((mu, c))
+        self.nlive -= dead
 
     # -- the two scans ------------------------------------------------------
 
@@ -585,26 +614,27 @@ class _Enum:
         p = self.p
         tab = self.tab
         W = self.W
-        remap = array("i", bytes(_INT * (self.nrows + 1)))
+        # a live row's parent becomes minus its new number; a dead row's
+        # parent chain still ends at a live row, so p holds the renumbering
         new = 0
         new_cursor = 1
         for old in range(1, self.nrows + 1):
             if p[old] == old:
                 new += 1
-                remap[old] = new
+                p[old] = -new
                 if old <= cursor:
                     new_cursor = new
         for old in range(1, self.nrows + 1):
-            if p[old] != old:
+            if p[old] > 0:
                 continue
             ob = old * W
-            nb = remap[old] * W
+            nb = -p[old] * W
             for c in range(W):
                 t = tab[ob + c]
                 if t:
-                    while p[t] != t:
+                    while p[t] > 0:
                         t = p[t]
-                    tab[nb + c] = remap[t]
+                    tab[nb + c] = -p[t]
                 else:
                     tab[nb + c] = 0
         # drop the rows beyond the live block: definitions hand rows out

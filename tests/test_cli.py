@@ -189,12 +189,19 @@ def test_cap_out_of_range_exits_2(capsys, cap):
     assert err.startswith("error: --cap must be between") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("env", ["abc", "1e6", "0"])
-def test_bad_cap_environment_exits_2(monkeypatch, capsys, env):
+@pytest.mark.parametrize("env,line", [
+    ("abc", "ASPH_COSET_CAP must be an integer, not 'abc'"),
+    ("1e6", "ASPH_COSET_CAP must be an integer, not '1e6'"),
+    ("0", f"ASPH_COSET_CAP must be between 1 and {MAX_CAP}, not 0"),
+    (str(MAX_CAP + 1),
+     f"ASPH_COSET_CAP must be between 1 and {MAX_CAP}, not {MAX_CAP + 1}"),
+], ids=["abc", "1e6", "0", str(MAX_CAP + 1)])
+def test_bad_cap_environment_exits_2(monkeypatch, capsys, env, line):
+    # the message names the setting at fault, although --cap has a default
     monkeypatch.setenv("ASPH_COSET_CAP", env)
     rc, out, err = run(capsys, "table1", "--only", "L6")
     assert rc == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: {line}\n"
 
 
 def test_cap_environment_sets_the_default(monkeypatch, capsys):

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+from array import array
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +95,70 @@ def test_cap_must_fit_the_table_entries():
         with pytest.raises(ValueError, match="cap must be between"):
             enumerate_cosets(S3, [], cap)
     assert enumerate_cosets(S3, [], MAX_CAP).n == 6
+
+
+_CHECK_UNDER_O = """
+import sys
+from relasph.coset import LiftedPresentation, enumerate_cosets
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+S3 = LiftedPresentation(("a", "b"), ((("a", 2),), (("b", 3),),
+                                     (("a", 1), ("b", 1)) * 2))
+t = enumerate_cosets(S3, [(("a", 1),)], 100)
+t.check()
+W = t.ncols
+
+
+def rejects(what):
+    try:
+        t.check()
+    except ValueError as err:
+        print(what, err)
+    else:
+        print(what, "accepted")
+
+
+entry = t.tab[W]  # coset 1 under a
+t.tab[W] = 2
+rejects("entry")
+t.tab[W] = entry
+t.check()
+t.subs = ((2,),)  # b in place of a: b moves coset 1
+rejects("subgroup")
+"""
+
+
+def test_check_raises_under_python_O():
+    """check() raises ValueError, not AssertionError, so python -O keeps
+    it: a tampered entry and a tampered subgroup column are rejected."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-O", "-c", _CHECK_UNDER_O],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "entry entry (1,0) is inverse-inconsistent",
+        "subgroup subgroup generator (2,) does not fix coset 1",
+    ]
+
+
+def test_enumeration_holds_only_the_rows_it_uses():
+    """Growth slack, compaction and the coincidence queue stay small next
+    to the rows defined: the traced peak of one enumeration is at most
+    1.5 rows of 4(W+1) bytes per definition."""
+    pres = {f.name: f for f in TABLE1_FIXTURES}["{3,-1} L6"].instance().lifted()
+    tracemalloc.start()
+    try:
+        t = enumerate_cosets(pres, [(("h", 1),)], 3 * 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.complete and (t.n, t.total_defined) == (1512, 4979)
+    row = array("i").itemsize * (2 * len(pres.generators) + 1)
+    assert peak <= 1.5 * t.total_defined * row
 
 
 def test_lookahead_rescue_completes_a5():
