@@ -43,6 +43,7 @@ from .words import (
     OrderResult,
     RelativePresentation,
     TriState,
+    UndecidedError,
     Word,
     X,
     csyl,
@@ -63,19 +64,15 @@ EXCEPTIONAL_NAMES = ("BBP-E4", "BBP-E5", "HM-E", "AEJ-E", "E-E1", "E-E2",
 
 
 def tri_and(*ts) -> TriState:
-    if any(t == NO for t in ts):
+    if NO in ts:
         return NO
-    if any(t == UNKNOWN for t in ts):
-        return UNKNOWN
-    return YES
+    return UNKNOWN if UNKNOWN in ts else YES
 
 
 def tri_or(*ts) -> TriState:
-    if any(t == YES for t in ts):
+    if YES in ts:
         return YES
-    if any(t == UNKNOWN for t in ts):
-        return UNKNOWN
-    return NO
+    return UNKNOWN if UNKNOWN in ts else NO
 
 
 def tri_not(t: TriState) -> TriState:
@@ -228,23 +225,23 @@ def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
     A, B = inst.g, inst.h
     l, k = inst.l, inst.k
 
-    og = ctx.element_order(A)
-    oh = ctx.element_order(B)
     m = mu(ctx, A, B)
-    ogh = m.orders[2]
+    og, oh, ogh = m.orders
 
+    A2, B2 = wmul(A, A), wmul(B, B)
+    A3, B3 = wmul(A2, A), wmul(B2, B)
     eq = ctx.equal(A, B)
     eq_inv = ctx.equal(A, winv(B))
-    A_B2 = ctx.equal(A, wmul(B, B))
-    B_A2 = ctx.equal(B, wmul(A, A))
-    A_Bm2 = ctx.equal(A, winv(wmul(B, B)))
-    B_Am2 = ctx.equal(B, winv(wmul(A, A)))
-    A_B3 = ctx.equal(A, wmul(B, B, B))
-    B_A3 = ctx.equal(B, wmul(A, A, A))
-    A_Bm3 = ctx.equal(A, winv(wmul(B, B, B)))
-    B_Am3 = ctx.equal(B, winv(wmul(A, A, A)))
-    A_B4 = ctx.equal(A, wmul(B, B, B, B))
-    B_A4 = ctx.equal(B, wmul(A, A, A, A))
+    A_B2 = ctx.equal(A, B2)
+    B_A2 = ctx.equal(B, A2)
+    A_Bm2 = ctx.equal(A, winv(B2))
+    B_Am2 = ctx.equal(B, winv(A2))
+    A_B3 = ctx.equal(A, B3)
+    B_A3 = ctx.equal(B, A3)
+    A_Bm3 = ctx.equal(A, winv(B3))
+    B_Am3 = ctx.equal(B, winv(A3))
+    A_B4 = ctx.equal(A, wmul(B2, B2))
+    B_A4 = ctx.equal(B, wmul(A2, A2))
     commute = ctx.equal(wmul(A, B), wmul(B, A))
 
     # (P): mu > 1 and g != h; a lower bound above 1 already decides it
@@ -743,6 +740,21 @@ def _spread_exponent_case(ctx, A, B, flags, l, k) -> TriState:
     c3 = tri_and(order_at_least(og, 4), order_at_least(oh, 4),
                  neq(A, winv(B2)), neq(B, winv(A2)))
     return tri_or(c1, c2, c3)
+
+
+def classify_presentation(p: RelativePresentation, cap: int = DEFAULT_CAP):
+    """Classify a one-relator presentation as (instance, description,
+    verdict).  A relator the budget cannot reduce to its length-four shape
+    gives no instance and an open-blocked verdict instead of an
+    UndecidedError; a relator of another shape still raises ValueError."""
+    try:
+        inst = instance_from_presentation(p, cap)
+    except UndecidedError as err:
+        verdict = _verdict(UNKNOWN, UNKNOWN, "open-blocked",
+                           "relator not reduced within budget",
+                           blockers=(str(err),))
+        return None, f"<G, {', '.join(p.x_gens)} | {p.relators[0]}>", verdict
+    return inst, inst.describe(), classify(inst, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,11 @@ from . import coset
 from .classify import (
     EXTENDED_FIXTURE,
     TABLE1_FIXTURES,
-    CaseVerdict,
     LengthFourInstance,
     classify,
+    classify_presentation,
     cyclic_group,
     fixture_order,
-    instance_from_presentation,
     verify_verdict,
 )
 from .coset import enumerate_cosets, lift
@@ -51,7 +50,6 @@ from .stargraph import build_star_graph, to_dot
 from .weights import WeightFunction, check_weight_function, search_weight_function
 from .words import (
     TriState,
-    UndecidedError,
     parse_presentation,
     parse_word,
     word_str,
@@ -107,20 +105,9 @@ def _tri(t: TriState) -> str:
 
 
 def cmd_classify(args) -> int:
-    pres = _load_presentation(args)
     cap = args.cap
-    try:
-        inst = instance_from_presentation(pres, cap)
-    except UndecidedError as err:
-        # the budget cannot reduce the relator to its length-four shape
-        inst = None
-        verdict = CaseVerdict(TriState.UNKNOWN, TriState.UNKNOWN,
-                              "open-blocked", "relator not reduced within "
-                              "budget", blockers=(str(err),))
-        described = f"<G, {', '.join(pres.x_gens)} | {pres.relators[0]}>"
-    else:
-        verdict = classify(inst, cap)
-        described = inst.describe()
+    pres = _load_presentation(args)
+    inst, described, verdict = classify_presentation(pres, cap)
     out = {
         "instance": described,
         "dr": _tri(verdict.dr),

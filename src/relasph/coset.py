@@ -798,7 +798,9 @@ class GroupContext:
     groups) are answered by exact normal forms and can prove infinite
     orders.  Everything else goes through one cached regular-representation
     enumeration; budget exhaustion surfaces as UNKNOWN / ExceedsBudget,
-    never as a guess.
+    never as a guess.  Two words are equal when their normal forms are, or
+    else when they lead from coset 1 to the same coset of the regular
+    table; no product word u v^-1 is built.
     """
 
     def __init__(self, group, cap: int = DEFAULT_CAP):
@@ -882,18 +884,30 @@ class GroupContext:
 
     # -- oracle queries ------------------------------------------------------
 
-    def is_trivial_word(self, w: Word) -> TriState:
-        if not w:
-            return TriState.YES
+    def _element(self, w: Word):
+        """The element `w` names, as a value equal exactly for equal
+        elements: its normal form in a free product of cyclics, else its
+        coset in the regular table; None when the table exceeds the cap."""
         if self.moduli is not None:
-            return TriState.YES if not self._nf(w) else TriState.NO
+            return self._nf(w)
         t = self.regular_table()
-        if t is None:
+        return None if t is None else t.trace(1, w)
+
+    def _same(self, u: Word, v: Word) -> TriState:
+        a = self._element(u)
+        if a is None:
             return TriState.UNKNOWN
-        return TriState.YES if t.trace(1, w) == 1 else TriState.NO
+        return TriState.YES if a == self._element(v) else TriState.NO
+
+    def is_trivial_word(self, w: Word) -> TriState:
+        return TriState.YES if not w else self._same(w, ())
 
     def equal(self, u: Word, v: Word) -> TriState:
-        return self.is_trivial_word(wmul(u, winv(v)))
+        # freely equal words are equal without the regular table
+        if u == v or (self.moduli is None
+                      and free_reduce(u) == free_reduce(v)):
+            return TriState.YES
+        return self._same(u, v)
 
     def element_order(self, w: Word) -> OrderResult:
         if self.moduli is not None:

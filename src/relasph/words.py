@@ -521,49 +521,39 @@ class ParseError(ValueError):
         self.col = col
 
 
-# The grammar is ASCII: a name is [A-Za-z_][A-Za-z0-9_]*, an exponent -?[0-9]+.
-_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_DIGITS = frozenset("0123456789")
-_NAME_CHARS = _NAME_START | _DIGITS
+# The grammar is ASCII: a name is [A-Za-z_][A-Za-z0-9_]*, an exponent
+# -?[0-9]+.  The classes are spelled out because \s, \w and \d match Unicode.
+_WS, _ID = r"[ \t\r\n]*", r"([A-Za-z_][A-Za-z0-9_]*)"
+_SPACE = re.compile(_WS)
+_NAME = re.compile(_WS + _ID + "?")
+# a name and its optional exponent, with the whitespace before and after
+# the name and after "^"
+_TOKEN = re.compile(_WS + "(?:" + _ID + _WS
+                    + r"(?:\^" + _WS + "(-?)([0-9]*))?)?")
 # a token as quoted in an error message: up to whitespace or punctuation
 _EXCERPT = re.compile(r"\s*([^\s,;<>|]*)")
 
 
 class _Tokenizer:
+    """Reads the grammar by regex from `pos`; an error works out its line
+    and column from `pos` when it is raised."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def error(self, msg):
-        raise ParseError(msg, self.line, self.col)
-
-    def _advance(self, n: int):
-        for ch in self.text[self.pos:self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-
-    def _take_run(self, chars) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in chars:
-            self._advance(1)
-        return self.text[start:self.pos]
+        text, pos = self.text, self.pos
+        raise ParseError(msg, text.count("\n", 0, pos) + 1,
+                         pos - text.rfind("\n", 0, pos))
 
     def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self._advance(1)
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        self.pos = pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[pos] if pos < len(self.text) else None
 
     def take_punct(self, ch: str) -> bool:
         if self.peek() == ch:
-            self._advance(1)
+            self.pos += 1
             return True
         return False
 
@@ -572,9 +562,9 @@ class _Tokenizer:
             self.error(f"expected {ch!r}")
 
     def take_name(self) -> Optional[str]:
-        if self.peek() not in _NAME_START:
-            return None
-        return self._take_run(_NAME_CHARS)
+        m = _NAME.match(self.text, self.pos)
+        self.pos = m.end()
+        return m.group(1)
 
     def take_names(self) -> list:
         """Names separated by commas or whitespace."""
@@ -585,38 +575,36 @@ class _Tokenizer:
         return names
 
     def take_keyword(self, kw: str) -> bool:
-        save = (self.pos, self.line, self.col)
-        name = self.take_name()
-        if name == kw:
+        save = self.pos
+        if self.take_name() == kw:
             return True
-        self.pos, self.line, self.col = save
+        self.pos = save
         return False
 
     def expect_keyword(self, kw: str):
         if not self.take_keyword(kw):
             self.error(f"expected keyword {kw!r}")
 
-    def take_token(self) -> Optional[tuple]:
-        """``name`` or ``name^exp`` as (name, exp), or None before a
-        non-name; the exponent is a non-zero integer."""
-        start = self.pos
-        name = self.take_name()
-        if name is None:
-            return None
-        if not self.take_punct("^"):
-            return name, 1
-        sign = -1 if self.take_punct("-") else 1
-        digits = self._take_run(_DIGITS)
-        if not digits or int(digits) == 0:
-            token = _EXCERPT.match(self.text, start).group(1)
-            self.error(f"{'zero' if digits else 'bad'} exponent in {token!r}")
-        return name, sign * int(digits)
-
     def take_word(self, known=None) -> list:
-        """One or more tokens; with `known`, every name must be in it."""
-        toks = []
-        while (tok := self.take_token()) is not None:
-            toks.append(tok)
+        """One or more tokens ``name`` or ``name^exp`` as (name, exp), the
+        exponent a non-zero integer; with `known`, every name must be in
+        it."""
+        text, toks = self.text, []
+        while True:
+            start = self.pos
+            m = _TOKEN.match(text, start)
+            self.pos = m.end()
+            name, sign, digits = m.groups()
+            if name is None:
+                break
+            if sign is None:
+                toks.append((name, 1))
+            elif digits and int(digits):
+                toks.append((name, -int(digits) if sign else int(digits)))
+            else:
+                token = _EXCERPT.match(text, start).group(1)
+                self.error(f"{'zero' if digits else 'bad'} exponent "
+                           f"in {token!r}")
         if not toks:
             self.error("expected a word")
         if known is not None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from relasph.classify import (
     LengthFourInstance,
     case_flags,
     classify,
+    classify_presentation,
     cyclic_group,
     instance_from_presentation,
     verify_verdict,
@@ -386,3 +388,42 @@ def test_verdicts_match_the_recorded_grid():
     assert len(lines) == 25272
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _GRID_DIGEST
+
+
+def test_classify_presentation_gives_open_verdict_for_unreduced_relator():
+    # at caps too small to enumerate the grid's non-cyclic groups the
+    # relator cannot be reduced; the library answers with an open verdict
+    texts = [f"{group}; x; rel x^{l} {gw} x^{k} {hw}"
+             for group, words in _GRID_GROUPS for l, k in _GRID_EXPONENTS
+             for gw in words for hw in words]
+    sample = random.Random(8).sample(texts, 150)
+    for cap in (4, 8, 12):
+        unreduced = 0
+        for text in sample:
+            inst, described, v = classify_presentation(
+                parse_presentation(text), cap)
+            if inst is not None:
+                assert described == inst.describe()
+                continue
+            unreduced += 1
+            assert (v.dr, v.aspherical) == (UNKNOWN, UNKNOWN)
+            assert v.justification == "open-blocked"
+            assert v.detail == "relator not reduced within budget"
+            assert v.blockers and v.blockers[0].startswith(
+                "cannot decide triviality of ")
+        assert unreduced > 0, cap
+
+
+def test_case_flags_asks_each_order_once(monkeypatch):
+    # |g|, |h| and |g h^-1| are each asked once, all through mu
+    calls = []
+    real = coset.GroupContext.element_order
+
+    def counting(self, w):
+        calls.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(coset.GroupContext, "element_order", counting)
+    flags = case_flags(cyc(5, 2, -1, 2, 1), 1000)
+    assert len(calls) == 3
+    assert (flags.og, flags.oh, flags.ogh) == flags.mu.orders

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relasph
 from relasph.cli import main
 from relasph.coset import MAX_CAP
 
@@ -304,3 +309,18 @@ def test_picture_bad_presentation_file_exits_2(fixtures_dir, tmp_path,
                        "--presentation", str(f))
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_python_m_relasph_runs_the_cli(capsys):
+    # `PYTHONPATH=src python -m relasph ...` from a checkout: same output
+    # as main() in-process, and main()'s return code as the exit status
+    argv = ["classify", "--cyclic", "5", "--l", "2", "--k", "-1",
+            "--g", "2", "--h", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(relasph.__file__).parents[1]))
+    for args, code in ((argv, 0), (argv + ["--cap", "0"], 2)):
+        rc, out, err = run(capsys, *args)
+        proc = subprocess.run([sys.executable, "-m", "relasph", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == rc == code
+        assert (proc.stdout, proc.stderr) == (out, err)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -32,6 +33,8 @@ from relasph.words import (
     free_group,
     parse_presentation,
     parse_word,
+    winv,
+    wmul,
     xsyl,
 )
 
@@ -52,6 +55,8 @@ F25 = P([f"x{i}" for i in range(5)],
 S3Z3 = lift(parse_presentation(
     "group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>; x; "
     "rel x^2 g x^-1 h"))
+S3xZ3 = parse_presentation(
+    "group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>; x; rel x g").coeff
 # the (2,3,7) triangle group: infinite, so every enumeration of it ends in
 # the budget path
 VD = P(["a", "b"], [[("a", 2)], [("b", 3)], [("a", 1), ("b", 1)] * 7])
@@ -185,6 +190,57 @@ def test_element_orders_and_equality():
     assert ctx.equal((("g", 2),), (("g", -2),)) == TriState.NO
     assert ctx.equal((("g", 4),), (("g", -4),)) == TriState.YES
     assert ctx.equal((), (("g", 8),)) == TriState.YES
+
+
+def _random_word(rng, gens, span):
+    exps = [e for e in range(-span, span + 1) if e]
+    return tuple((rng.choice(gens), rng.choice(exps))
+                 for _ in range(rng.randrange(5)))
+
+
+def _equality_pairs(rng, gens, span, count):
+    """Word pairs: unrelated, identical, and freely equal but unreduced."""
+    for _ in range(count):
+        u = _random_word(rng, gens, span)
+        pick = rng.randrange(3)
+        if pick == 0:
+            v = _random_word(rng, gens, span)
+        elif pick == 1:
+            v = u
+        else:
+            i = rng.randrange(len(u) + 1)
+            g, e = rng.choice(gens), rng.randint(1, span)
+            v = u[:i] + ((g, e), (g, -e)) + u[i:]
+        yield u, v
+
+
+_DECIDED = {TriState.YES, TriState.NO}
+_EQUALITY_GROUPS = {
+    **{f"Z{n}": cyclic(n) for n in range(2, 13)},
+    "F2": free_group("g", "h"),
+    "Z2*Z3": CoefficientGroup(("g", "h"), ((("g", 2),), (("h", 3),))),
+    "S3xZ3": S3xZ3,
+}
+
+
+@pytest.mark.parametrize("name,cap,answers", [
+    *((name, 1000, _DECIDED) for name in _EQUALITY_GROUPS),
+    # S3xZ3 has order 18: its regular table cannot finish within 10 cosets,
+    # so only freely equal words are decided
+    ("S3xZ3", 10, {TriState.YES, TriState.UNKNOWN}),
+])
+def test_equal_agrees_with_the_product_word(name, cap, answers):
+    # equal(u, v) compares elements; it must answer exactly as the
+    # triviality of u v^-1 does, UNKNOWN included
+    group = _EQUALITY_GROUPS[name]
+    rng = random.Random(f"{name} {cap}")
+    ctx = GroupContext(group, cap)
+    seen = set()
+    for u, v in _equality_pairs(rng, group.generators, 4, 300):
+        got = ctx.equal(u, v)
+        assert got == ctx.is_trivial_word(wmul(u, winv(v))), (u, v)
+        seen.add(got)
+    assert seen == answers
 
 
 def test_element_order_power_divisibility():

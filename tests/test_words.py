@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import signal
 import string
@@ -78,6 +79,8 @@ _GRAMMAR_TEXTS = (
     "group <a, b | a^2, b^4, a b a^-1 b^-1>; x; rel x^3 a b^-1 x^-2 b^2",
 )
 _MUTATION_CHARS = string.ascii_letters + string.digits + "^-,;<>| \t\n\u00e9\u00b2\u0663"
+_MUTANT_DIGEST = (
+    "f22aa8bb429ec95b9c3e3a3782eee849511af867fcabd047134e3491e9fa3c79")
 
 
 def _no_hang(signum, frame):
@@ -87,9 +90,11 @@ def _no_hang(signum, frame):
 def test_presentation_mutants_parse_or_raise_parse_error():
     # one-character insertions and replacements, non-ASCII letters and
     # digits among them: each mutant parses or raises ParseError, and none
-    # hangs the tokenizer
+    # hangs the tokenizer; the digest pins every parse result and every
+    # error's message, line and column
     rng = random.Random(20261018)
     outcomes = set()
+    digest = hashlib.sha256()
     previous = signal.signal(signal.SIGALRM, _no_hang)
     signal.alarm(60)
     try:
@@ -99,14 +104,17 @@ def test_presentation_mutants_parse_or_raise_parse_error():
             cut = i + rng.randrange(2)  # insert before or replace text[i]
             mutant = text[:i] + rng.choice(_MUTATION_CHARS) + text[cut:]
             try:
-                parse_presentation(mutant)
+                got = repr(parse_presentation(mutant))
                 outcomes.add("parsed")
-            except ParseError:
+            except ParseError as err:
+                got = f"{err.msg!r} {err.line} {err.col}"
                 outcomes.add("rejected")
+            digest.update(got.encode() + b"\n")
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert outcomes == {"parsed", "rejected"}
+    assert digest.hexdigest() == _MUTANT_DIGEST
 
 
 def test_parse_word_accepts_the_relator_words():
