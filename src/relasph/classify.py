@@ -203,6 +203,9 @@ class CaseFlags:
     oh: OrderResult
     ogh: OrderResult  # |g h^-1|
     mu: MuValue
+    # "g=h^-2" -> TriState: each equality between g, h and their powers
+    # that the flags read, so that callers need not ask again
+    equalities: dict
     blockers: tuple
 
     def __getitem__(self, name: str) -> TriState:
@@ -230,19 +233,21 @@ def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
 
     A2, B2 = wmul(A, A), wmul(B, B)
     A3, B3 = wmul(A2, A), wmul(B2, B)
-    eq = ctx.equal(A, B)
-    eq_inv = ctx.equal(A, winv(B))
-    A_B2 = ctx.equal(A, B2)
-    B_A2 = ctx.equal(B, A2)
-    A_Bm2 = ctx.equal(A, winv(B2))
-    B_Am2 = ctx.equal(B, winv(A2))
-    A_B3 = ctx.equal(A, B3)
-    B_A3 = ctx.equal(B, A3)
-    A_Bm3 = ctx.equal(A, winv(B3))
-    B_Am3 = ctx.equal(B, winv(A3))
-    A_B4 = ctx.equal(A, wmul(B2, B2))
-    B_A4 = ctx.equal(B, wmul(A2, A2))
-    commute = ctx.equal(wmul(A, B), wmul(B, A))
+    eqs = {
+        "g=h": ctx.equal(A, B),
+        "g=h^-1": ctx.equal(A, winv(B)),
+        "g=h^2": ctx.equal(A, B2),
+        "h=g^2": ctx.equal(B, A2),
+        "g=h^-2": ctx.equal(A, winv(B2)),
+        "h=g^-2": ctx.equal(B, winv(A2)),
+        "g=h^3": ctx.equal(A, B3),
+        "h=g^3": ctx.equal(B, A3),
+        "g=h^-3": ctx.equal(A, winv(B3)),
+        "h=g^-3": ctx.equal(B, winv(A3)),
+        "g=h^4": ctx.equal(A, wmul(B2, B2)),
+        "h=g^4": ctx.equal(B, wmul(A2, A2)),
+        "gh=hg": ctx.equal(wmul(A, B), wmul(B, A)),
+    }
 
     # (P): mu > 1 and g != h; a lower bound above 1 already decides it
     if m.value > 1 and not m.lower_bound_only:
@@ -253,7 +258,7 @@ def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
         p_mu = NO
     else:
         p_mu = UNKNOWN
-    flag_P = tri_and(p_mu, tri_not(eq))
+    flag_P = tri_and(p_mu, tri_not(eqs["g=h"]))
 
     def orders_are(na: int, nb: int) -> TriState:
         return tri_or(tri_and(order_is(og, na), order_is(oh, nb)),
@@ -261,26 +266,26 @@ def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
 
     values = {
         "P": flag_P,
-        "Z": tri_and(eq, order_finite(og)),
-        "M": tri_and(eq_inv, order_finite(og)),
-        "J4": tri_or(tri_and(A_B2, order_is(oh, 4)),
-                     tri_and(B_A2, order_is(og, 4))),
-        "J6": tri_and(orders_are(2, 3), commute),
-        "K5": tri_or(tri_and(A_B2, order_is(oh, 5)),
-                     tri_and(B_A2, order_is(og, 5))),
-        "K6+": tri_or(tri_and(A_B2, order_is(oh, 6)),
-                      tri_and(B_A2, order_is(og, 6))),
-        "K6-": tri_or(tri_and(A_Bm2, order_is(oh, 6)),
-                      tri_and(B_Am2, order_is(og, 6))),
-        "L6": tri_or(tri_and(A_B3, order_is(oh, 6)),
-                     tri_and(B_A3, order_is(og, 6))),
+        "Z": tri_and(eqs["g=h"], order_finite(og)),
+        "M": tri_and(eqs["g=h^-1"], order_finite(og)),
+        "J4": tri_or(tri_and(eqs["g=h^2"], order_is(oh, 4)),
+                     tri_and(eqs["h=g^2"], order_is(og, 4))),
+        "J6": tri_and(orders_are(2, 3), eqs["gh=hg"]),
+        "K5": tri_or(tri_and(eqs["g=h^2"], order_is(oh, 5)),
+                     tri_and(eqs["h=g^2"], order_is(og, 5))),
+        "K6+": tri_or(tri_and(eqs["g=h^2"], order_is(oh, 6)),
+                      tri_and(eqs["h=g^2"], order_is(og, 6))),
+        "K6-": tri_or(tri_and(eqs["g=h^-2"], order_is(oh, 6)),
+                      tri_and(eqs["h=g^-2"], order_is(og, 6))),
+        "L6": tri_or(tri_and(eqs["g=h^3"], order_is(oh, 6)),
+                     tri_and(eqs["h=g^3"], order_is(og, 6))),
     }
 
     def subgroup_is_2_x(n2: int) -> TriState:
         # gp{g,h} isomorphic to Z2 + Z_n2 for n2 in (4, 5): commuting
         # generators of the right orders with subgroup order 2*n2
         want = orders_are(2, n2)
-        pre = tri_and(want, commute)
+        pre = tri_and(want, eqs["gh=hg"])
         if pre == NO:
             return NO
         sub = ctx.subgroup_order([A, B])
@@ -290,7 +295,7 @@ def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
     # an abelian order-8 group on two generators of exponent <= 4 is Z2+Z4
     def aae_e() -> TriState:
         small = tri_and(
-            commute,
+            eqs["gh=hg"],
             tri_or(order_is(og, 2), order_is(og, 4)),
             tri_or(order_is(oh, 2), order_is(oh, 4)))
         if small == NO:
@@ -301,31 +306,38 @@ def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
     values.update({
         "BBP-E4": subgroup_is_2_x(4),
         "BBP-E5": subgroup_is_2_x(5),
-        "HM-E": tri_or(tri_and(A_B2, order_in_open_range(oh, 6)),
-                       tri_and(B_A2, order_in_open_range(og, 6))),
+        "HM-E": tri_or(tri_and(eqs["g=h^2"], order_in_open_range(oh, 6)),
+                       tri_and(eqs["h=g^2"], order_in_open_range(og, 6))),
         "AEJ-E": tri_or(
-            tri_and(A_B2, order_in_open_range(oh, 6), tri_bool(l < k < 2 * l)),
-            tri_and(B_A2, order_in_open_range(og, 6), tri_bool(k < l < 2 * k)),
-            tri_and(B_A2, order_in_open_range(og, 6), tri_bool(l < k < 2 * l)),
-            tri_and(A_B2, order_in_open_range(oh, 6), tri_bool(k < l < 2 * k))),
-        "E-E1": tri_or(tri_and(order_is(og, 9), order_is(oh, 3), B_A3),
-                       tri_and(order_is(oh, 9), order_is(og, 3), A_B3)),
-        "E-E2": tri_or(tri_and(order_is(og, 9), order_is(oh, 3), B_Am3),
-                       tri_and(order_is(oh, 9), order_is(og, 3), A_Bm3)),
-        "E-E3": tri_or(tri_and(order_is(og, 8), order_is(oh, 4), B_A2),
-                       tri_and(order_is(oh, 8), order_is(og, 4), A_B2)),
+            tri_and(eqs["g=h^2"], order_in_open_range(oh, 6),
+                    tri_bool(l < k < 2 * l)),
+            tri_and(eqs["h=g^2"], order_in_open_range(og, 6),
+                    tri_bool(k < l < 2 * k)),
+            tri_and(eqs["h=g^2"], order_in_open_range(og, 6),
+                    tri_bool(l < k < 2 * l)),
+            tri_and(eqs["g=h^2"], order_in_open_range(oh, 6),
+                    tri_bool(k < l < 2 * k))),
+        "E-E1": tri_or(
+            tri_and(order_is(og, 9), order_is(oh, 3), eqs["h=g^3"]),
+            tri_and(order_is(oh, 9), order_is(og, 3), eqs["g=h^3"])),
+        "E-E2": tri_or(
+            tri_and(order_is(og, 9), order_is(oh, 3), eqs["h=g^-3"]),
+            tri_and(order_is(oh, 9), order_is(og, 3), eqs["g=h^-3"])),
+        "E-E3": tri_or(
+            tri_and(order_is(og, 8), order_is(oh, 4), eqs["h=g^2"]),
+            tri_and(order_is(oh, 8), order_is(og, 4), eqs["g=h^2"])),
         "AAE-E": aae_e(),
-        "AAE-E4": tri_or(tri_and(order_is(oh, 8), A_B4),
-                         tri_and(order_is(og, 8), B_A4)),
-        "D-E1": tri_or(tri_and(A_B2, order_in_open_range(oh, 3)),
-                       tri_and(B_A2, order_in_open_range(og, 3))),
-        "D-E2": tri_or(tri_and(A_Bm2, order_in_open_range(oh, 3)),
-                       tri_and(B_Am2, order_in_open_range(og, 3))),
-        "D-E4": tri_or(tri_and(A_B3, order_is(oh, 9)),
-                       tri_and(B_A3, order_is(og, 9))),
+        "AAE-E4": tri_or(tri_and(order_is(oh, 8), eqs["g=h^4"]),
+                         tri_and(order_is(og, 8), eqs["h=g^4"])),
+        "D-E1": tri_or(tri_and(eqs["g=h^2"], order_in_open_range(oh, 3)),
+                       tri_and(eqs["h=g^2"], order_in_open_range(og, 3))),
+        "D-E2": tri_or(tri_and(eqs["g=h^-2"], order_in_open_range(oh, 3)),
+                       tri_and(eqs["h=g^-2"], order_in_open_range(og, 3))),
+        "D-E4": tri_or(tri_and(eqs["g=h^3"], order_is(oh, 9)),
+                       tri_and(eqs["h=g^3"], order_is(og, 9))),
     })
     blockers = tuple(sorted(n for n, v in values.items() if v == UNKNOWN))
-    return CaseFlags(values, og, oh, ogh, m, blockers)
+    return CaseFlags(values, og, oh, ogh, m, eqs, blockers)
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +475,10 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
                             f"cannot certify {name} nontrivial within budget",
                             blockers=(f"triviality of {word_str(w)}",))
 
-    eq = ctx.equal(A, B)
-
     # ---- l = k: reducible iff g = h or |g^-1 h| infinite; aspherical iff
     # the order is infinite (g = h makes the relator a proper power)
     if k == l:
+        eq = ctx.equal(A, B)
         if eq == YES:
             return _verdict(YES, NO, "relator-proper-power",
                             "relator is (x^l g)^2, a proper power; "
@@ -626,10 +637,10 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
             if flags[name] == YES:
                 return open_exceptional(name)
         excluded = families  # flags the row's theorem needs to be NO
+        eqs = flags.equalities
         if row == "2,1":
-            sq = tri_or(
-                tri_and(ctx.equal(A, wmul(B, B)), order_finite(flags.oh)),
-                tri_and(ctx.equal(B, wmul(A, A)), order_finite(flags.og)))
+            sq = tri_or(tri_and(eqs["g=h^2"], order_finite(flags.oh)),
+                        tri_and(eqs["h=g^2"], order_finite(flags.og)))
             if sq == YES:
                 return negative("lk-2-1-square",
                                 "g = h^2 or h = g^2 with finite order at "
@@ -639,13 +650,12 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
                 return open_blocked("square condition undecided at (2,1)")
         if row == "2,-1":
             og, oh = flags.og, flags.oh
-            commute = ctx.equal(wmul(A, B), wmul(B, A))
+            commute = eqs["gh=hg"]
             comm_word = wmul(A, B, A, B, winv(A), winv(B), winv(A), winv(B))
-            sq_any = tri_or(ctx.equal(A, wmul(B, B)), ctx.equal(B, wmul(A, A)))
+            sq_any = tri_or(eqs["g=h^2"], eqs["h=g^2"])
             subcases = {
-                "i": tri_or(
-                    tri_and(ctx.equal(A, winv(wmul(B, B))), order_finite(oh)),
-                    tri_and(ctx.equal(B, winv(wmul(A, A))), order_finite(og))),
+                "i": tri_or(tri_and(eqs["g=h^-2"], order_finite(oh)),
+                            tri_and(eqs["h=g^-2"], order_finite(og))),
                 "ii": tri_and(commute,
                               tri_or(order_is(og, 2), order_is(oh, 2))),
                 "iii": tri_and(
@@ -704,7 +714,7 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
                             f"exponents ({l},-1), squares of g and h "
                             "nontrivial, no case and no exceptional family: "
                             "reducible and aspherical")
-    prish = _spread_exponent_case(ctx, A, B, flags, l, k)
+    prish = _spread_exponent_case(flags, l, k)
     if prish == YES:
         return _verdict(UNKNOWN, YES, "spread-exponents",
                         f"exponents ({l},{k}) with l > 2|k| and coefficient "
@@ -720,7 +730,7 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
                      "for this instance")
 
 
-def _spread_exponent_case(ctx, A, B, flags, l, k) -> TriState:
+def _spread_exponent_case(flags, l, k) -> TriState:
     """Aspherical families for l > 2|k| (after normalization the case
     |k| > 2l has already been rewritten into this shape)."""
     if not (k < 0 and l > 2 * (-k)):
@@ -728,17 +738,13 @@ def _spread_exponent_case(ctx, A, B, flags, l, k) -> TriState:
     if flags["Z"] != NO or flags["M"] != NO:
         return UNKNOWN if (flags["Z"] == UNKNOWN or flags["M"] == UNKNOWN) else NO
     og, oh = flags.og, flags.oh
-    neq = lambda u, v: tri_not(ctx.equal(u, v))
-    A2, B2 = wmul(A, A), wmul(B, B)
-    A3, B3 = wmul(A2, A), wmul(B2, B)
+    ne = lambda name: tri_not(flags.equalities[name])
     c1 = tri_and(order_at_least(og, 6), order_at_least(oh, 3),
-                 neq(B, A2), neq(B, winv(A2)), neq(B, winv(A3)),
-                 neq(A, winv(B2)))
+                 ne("h=g^2"), ne("h=g^-2"), ne("h=g^-3"), ne("g=h^-2"))
     c2 = tri_and(order_at_least(og, 3), order_at_least(oh, 6),
-                 neq(A, B2), neq(A, winv(B2)), neq(A, winv(B3)),
-                 neq(B, winv(A2)))
+                 ne("g=h^2"), ne("g=h^-2"), ne("g=h^-3"), ne("h=g^-2"))
     c3 = tri_and(order_at_least(og, 4), order_at_least(oh, 4),
-                 neq(A, winv(B2)), neq(B, winv(A2)))
+                 ne("g=h^-2"), ne("h=g^-2"))
     return tri_or(c1, c2, c3)
 
 

@@ -11,12 +11,17 @@ per rotation even when rotations repeat as words.
 A non-empty cyclically reduced closed path is admissible when its label
 product is trivial in the coefficient group.  For finite coefficient
 groups the exact minimum weight of an admissible cycle is computed on the
-product of the star graph with the group's regular representation.
+product of the star graph with the group's regular representation.  Over
+any other group only cycles up to a length bound are enumerated.  Each
+cycle is listed once, by its canonical form: the lexicographically least
+rotation over both orientations.  That form starts at the least edge id
+among the cycle's edges and their partners, so the enumeration roots each
+cycle at that edge and never walks a rotation or an inversion of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -26,10 +31,10 @@ from .words import (
     TriState,
     Word,
     cyclically_reduce,
+    free_reduce,
     invert_letter_form,
     letter_form,
     winv,
-    wmul,
     word_str,
 )
 
@@ -49,6 +54,9 @@ class StarGraph:
     presentation: RelativePresentation
     vertices: tuple  # all (letter, +-1), the full set x union x^-1
     edges: tuple  # StarEdge, oriented; involution pairs via .partner
+    # per edge e, the ids of the edges a cyclically reduced path may take
+    # after e: those out of e's target except e's partner, in id order
+    successors: tuple = field(repr=False, compare=False)
 
     def pair_id(self, eid: int) -> int:
         return min(eid, self.edges[eid].partner)
@@ -68,7 +76,6 @@ class AdmissibleCycle:
     edge_ids: tuple
     label: Word
     status: str  # 'admissible' | 'possibly-admissible'
-    weight: Optional[Fraction] = None
 
 
 def build_star_graph(p: RelativePresentation) -> StarGraph:
@@ -127,7 +134,13 @@ def build_star_graph(p: RelativePresentation) -> StarGraph:
                 and q.target == e.source):
             raise RuntimeError(f"edge {e.eid} and its partner {q.eid} "
                                "do not form an inverse pair")
-    return StarGraph(p, vertices, out)
+    leaving = {}
+    for e in out:
+        leaving.setdefault(e.source, []).append(e.eid)
+    successors = tuple(
+        tuple(f for f in leaving.get(e.target, ()) if f != e.partner)
+        for e in out)
+    return StarGraph(p, vertices, out, successors)
 
 
 def _canonical_cycle(edge_ids: tuple, graph: StarGraph) -> tuple:
@@ -145,54 +158,62 @@ def _canonical_cycle(edge_ids: tuple, graph: StarGraph) -> tuple:
     return best
 
 
-def _successors(graph: StarGraph) -> list:
-    """Per edge e, the ids of the edges a cyclically reduced path may take
-    after e: those out of e's target except e's partner, in edge order."""
-    out = {}
-    for e in graph.edges:
-        out.setdefault(e.source, []).append(e.eid)
-    return [[f for f in out.get(e.target, ()) if f != e.partner]
-            for e in graph.edges]
-
-
 def admissible_cycles(graph: StarGraph, ctx, max_len: int) -> list:
     """All admissibility-checked cyclically reduced closed paths of length
-    <= max_len, up to rotation and inversion.
+    <= max_len, up to rotation and inversion, each as its canonical form,
+    ordered by length and then by edge ids.
+
+    Each cycle is found once, from its least edge s.  The search from s
+    takes no edge whose id or whose partner's id is below s, as a rotation
+    or the inversion of the path would then start lower, and it keeps a
+    closed path only when the path is its own canonical form, the least
+    representative starting at s.  Walking every closed path from each
+    start edge in id order and keeping the first representative met of
+    each cycle gives the same cycles, labels and statuses, because the
+    first representative met is the canonical form.
 
     Labels the oracle cannot settle are reported as possibly admissible.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     edges = graph.edges
-    succ = _successors(graph)
-    seen = set()
+    succ = graph.successors
+    target = [e.target for e in edges]
+    partner = [e.partner for e in edges]
+    # the least edge id of each edge's involution pair
+    low = [min(e.eid, e.partner) for e in edges]
     found = []
 
-    def extend(path, vertex, start_edge):
-        if len(path) >= 1 and vertex == edges[start_edge].source:
-            # wrap condition: last edge must not be the partner of the first
-            if edges[path[-1]].partner != start_edge:
-                key = _canonical_cycle(tuple(path), graph)
-                if key not in seen:
-                    seen.add(key)
-                    label = ()
-                    for eid in path:
-                        label = wmul(label, edges[eid].label)
-                    triv = ctx.is_trivial_word(label)
-                    if triv == TriState.YES:
-                        found.append(AdmissibleCycle(key, label, "admissible"))
-                    elif triv == TriState.UNKNOWN:
-                        found.append(AdmissibleCycle(key, label, "possibly-admissible"))
+    def close(path, start):
+        ids = tuple(path)
+        # only a path through s twice or through s's partner has other
+        # representatives starting at s
+        if ((ids.count(start) > 1 or partner[start] in ids)
+                and ids != _canonical_cycle(ids, graph)):
+            return
+        label = free_reduce([syl for eid in ids for syl in edges[eid].label])
+        triv = ctx.is_trivial_word(label)
+        if triv == TriState.YES:
+            found.append(AdmissibleCycle(ids, label, "admissible"))
+        elif triv == TriState.UNKNOWN:
+            found.append(AdmissibleCycle(ids, label, "possibly-admissible"))
+
+    def extend(path, vertex, start):
+        if vertex == edges[start].source and partner[path[-1]] != start:
+            close(path, start)
         if len(path) == max_len:
             return
         for f in succ[path[-1]]:
-            path.append(f)
-            extend(path, edges[f].target, start_edge)
-            path.pop()
+            if low[f] >= start:
+                path.append(f)
+                extend(path, target[f], start)
+                path.pop()
 
     for e in edges:
-        # loops of length 1 close immediately; longer paths continue
-        extend([e.eid], e.target, e.eid)
+        # an edge with a lower partner starts no canonical form; loops of
+        # length 1 close immediately, longer paths continue
+        if e.eid < e.partner:
+            extend([e.eid], e.target, e.eid)
     found.sort(key=lambda c: (len(c.edge_ids), c.edge_ids))
     return found
 
@@ -210,11 +231,9 @@ def _integer_weights(graph: StarGraph, theta: dict) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def has_negative_cycle(graph: StarGraph, theta: dict) -> bool:
-    """Whether some cyclically reduced closed cycle (labels ignored) has
-    negative weight: Bellman-Ford on last-edge states from a virtual
-    source.  `theta` maps edge-pair ids to Fractions."""
-    succ, (wt, _) = _successors(graph), _integer_weights(graph, theta)
+def _negative_cycle(succ, wt: list) -> bool:
+    """Bellman-Ford on last-edge states from a virtual source, on the int
+    weights `wt` per edge id."""
     dist = [0] * len(succ)
     for _ in range(len(succ) + 1):
         changed = False
@@ -227,6 +246,12 @@ def has_negative_cycle(graph: StarGraph, theta: dict) -> bool:
         if not changed:
             return False
     return True
+
+
+def has_negative_cycle(graph: StarGraph, theta: dict) -> bool:
+    """Whether some cyclically reduced closed cycle (labels ignored) has
+    negative weight.  `theta` maps edge-pair ids to Fractions."""
+    return _negative_cycle(graph.successors, _integer_weights(graph, theta)[0])
 
 
 def min_admissible_cycle_weight(graph: StarGraph, theta: dict, ctx,
@@ -251,10 +276,11 @@ def min_admissible_cycle_weight(graph: StarGraph, theta: dict, ctx,
     if table is None:
         raise ValueError("coefficient group is not enumerable within budget; "
                          "fall back to bounded admissible_cycles")
-    if has_negative_cycle(graph, theta):
+    succ = graph.successors
+    wt, den = _integer_weights(graph, theta)
+    if _negative_cycle(succ, wt):
         raise NegativeCycleError("negative cyclically reduced cycle detected")
     edges = graph.edges
-    succ, (wt, den) = _successors(graph), _integer_weights(graph, theta)
     width = table.n + 1
     # step[f][c]: the state reached from coset c along edge f
     step = [[0] + [e.eid * width + table.trace(c, e.label)

@@ -427,3 +427,23 @@ def test_case_flags_asks_each_order_once(monkeypatch):
     flags = case_flags(cyc(5, 2, -1, 2, 1), 1000)
     assert len(calls) == 3
     assert (flags.og, flags.oh, flags.ogh) == flags.mu.orders
+
+
+@pytest.mark.parametrize("inst, rule", [
+    (cyc(8, 1, -2, 1, 3), "lk-2-neg1"),
+    (cyc(7, 1, -6, 1, 2), "spread-exponents"),
+])
+def test_classify_asks_each_equality_once(monkeypatch, inst, rule):
+    # the (2,-1) obstructions and the spread-exponent families read the
+    # equalities case_flags decided instead of asking the oracle again
+    calls = []
+    real = coset.GroupContext.equal
+
+    def counting(self, u, v):
+        calls.append((u, v))
+        return real(self, u, v)
+
+    monkeypatch.setattr(coset.GroupContext, "equal", counting)
+    verdict = classify(inst, 1000)
+    assert verdict.justification == rule
+    assert len(calls) == len(set(calls)) == 13

@@ -324,3 +324,35 @@ def test_python_m_relasph_runs_the_cli(capsys):
                               timeout=120)
         assert proc.returncode == rc == code
         assert (proc.stdout, proc.stderr) == (out, err)
+
+
+def test_weighttest_json_is_identical_across_processes(tmp_path):
+    # a bounded cycle check over a free group and a search over Z_13 print
+    # the same bytes under different string-hash seeds
+    from relasph.stargraph import build_star_graph
+    from relasph.words import parse_presentation
+    text = "group <g, h | >; x; rel x^3 g x^-2 h^2"
+    f = tmp_path / "free.txt"
+    f.write_text(text)
+    w = tmp_path / "weights.txt"
+    graph = build_star_graph(parse_presentation(text))
+    w.write_text("".join(f"{pid} 1/2\n" for pid in graph.pair_ids()))
+    runs = (
+        ([str(f), str(w), "--mode", "full"], "violated"),
+        (["--cyclic", "13", "--l", "2", "--k", "1", "--g", "1", "--h", "5",
+          "search"], "certified"),
+    )
+    src = str(Path(relasph.__file__).parents[1])
+    for args, status in runs:
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "relasph", "weighttest", *args,
+                 "--format", "json"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0 and proc.stderr == ""
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        report = json.loads(outs[0][outs[0].index("{"):])
+        assert report["condition_II"]["status"] == status

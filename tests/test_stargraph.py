@@ -26,11 +26,65 @@ from relasph.words import (
     cyclically_reduce,
     fpw,
     free_group,
+    parse_presentation,
     winv,
     wmul,
     word_str,
     xsyl,
 )
+
+
+def _frozen_canonical_cycle(edge_ids, graph):
+    n = len(edge_ids)
+    best = None
+    for ids in (edge_ids,
+                tuple(graph.edges[e].partner for e in reversed(edge_ids))):
+        for r in range(n):
+            rot = ids[r:] + ids[:r]
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
+def _frozen_admissible_cycles(graph, ctx, max_len):
+    """Reference for admissible_cycles, independent of the code under test:
+    walk every cyclically reduced closed path from every start edge, once
+    per rotation and orientation, and keep the first path met of each
+    canonical form.  Returns (edge ids, label, status) triples."""
+    edges = graph.edges
+    out = {}
+    for e in edges:
+        out.setdefault(e.source, []).append(e.eid)
+    succ = [[f for f in out.get(e.target, ()) if f != e.partner]
+            for e in edges]
+    seen = set()
+    found = []
+
+    def extend(path, vertex, start_edge):
+        if vertex == edges[start_edge].source \
+                and edges[path[-1]].partner != start_edge:
+            key = _frozen_canonical_cycle(tuple(path), graph)
+            if key not in seen:
+                seen.add(key)
+                label = ()
+                for eid in path:
+                    label = wmul(label, edges[eid].label)
+                triv = ctx.is_trivial_word(label)
+                if triv == TriState.YES:
+                    found.append((key, label, "admissible"))
+                elif triv == TriState.UNKNOWN:
+                    found.append((key, label, "possibly-admissible"))
+        if len(path) == max_len:
+            return
+        for f in succ[path[-1]]:
+            path.append(f)
+            extend(path, edges[f].target, start_edge)
+            path.pop()
+
+    for e in edges:
+        extend([e.eid], e.target, e.eid)
+    found.sort(key=lambda c: (len(c[0]), c[0]))
+    return found
 
 
 def length_four(l, k):
@@ -145,6 +199,60 @@ def test_no_admissible_cycles_over_free_labels():
     assert all(c.status != "admissible" for c in cycles)
 
 
+def _differential_cases():
+    """(name, presentation text, cap) for the frozen-enumeration test: every
+    shape l, |k| <= 4 over a seeded Z_n, n <= 8, and ten seeded shapes over
+    <g, h | >, where the frozen copy takes 2 s on the largest."""
+    rng = random.Random(20261019)
+    shapes = [(l, k) for l in range(1, 5) for k in range(-4, 5) if k]
+    cases = []
+    for l, k in shapes:
+        n = rng.randint(2, 8)
+        a, b = rng.randrange(1, n), rng.randrange(1, n)
+        cases.append((f"Z{n} {l},{k}",
+                      f"group <g | g^{n}>; x; rel x^{l} g^{a} x^{k} g^{b}",
+                      1000))
+    free_words = ("g", "h", "g^-1", "h^2", "g h", "h g^-1", "g^2 h")
+    for l, k in rng.sample(shapes, 10):
+        gw, hw = rng.choice(free_words), rng.choice(free_words)
+        cases.append((f"free {l},{k}",
+                      f"group <g, h | >; x; rel x^{l} {gw} x^{k} {hw}", 1000))
+    # at cap 10 no label is decided: every cycle is possibly admissible
+    s3z3 = "group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>"
+    for l, k in ((2, -1), (3, 1), (2, 2), (1, -3)):
+        cases.append((f"S3xZ3 cap 10 {l},{k}",
+                      f"{s3z3}; x; rel x^{l} g x^{k} h", 10))
+    # a proper power: its least edge occurs more than once in a cycle
+    for group in ("<g | g^2>", "<g | g^3>", "<g | >"):
+        cases.append((f"power {group}", f"group {group}; x; rel x g x g",
+                      1000))
+    for group in ("<h | h^5>", "<h | >"):
+        cases.append((f"two relators {group}",
+                      f"group {group}; x, y; rel x h y h^2; rel x y^-1 h",
+                      1000))
+    return cases
+
+
+def test_admissible_cycles_match_frozen_enumeration():
+    """Rooting each cycle at its least edge lists the cycles, labels and
+    statuses, in order, that walking every rotation and orientation and
+    dropping repeats lists.  The frozen walk to length 6 lists, cut at
+    length m, what it lists with max_len m."""
+    statuses = set()
+    for name, text, cap in _differential_cases():
+        p = parse_presentation(text)
+        graph = build_star_graph(p)
+        ctx = context_for(p.coeff, cap)
+        want = _frozen_admissible_cycles(graph, ctx, 6)
+        for max_len in range(1, 7):
+            got = [(c.edge_ids, c.label, c.status)
+                   for c in admissible_cycles(graph, ctx, max_len)]
+            assert got == [c for c in want if len(c[0]) <= max_len], \
+                (name, max_len)
+            statuses.update(status for _, _, status in got)
+    assert statuses == {"admissible", "possibly-admissible"}
+
+
 def test_min_weight_matches_bruteforce():
     graph, ctx = x3g_over_z2()
     theta = {pid: Fraction(1, 3) for pid in graph.pair_ids()}
@@ -152,10 +260,11 @@ def test_min_weight_matches_bruteforce():
     assert exact is not None and exact[0] == Fraction(2, 3)
     for bound in (2, 3, 4, 5, 6):
         got = min_admissible_cycle_weight(graph, theta, ctx, max_len=bound)
-        cycles = [c for c in admissible_cycles(graph, ctx, bound)
-                  if c.status == "admissible"]
-        brute = min(sum(theta[graph.pair_id(e)] for e in c.edge_ids)
-                    for c in cycles) if cycles else None
+        cycles = [ids for ids, _, status
+                  in _frozen_admissible_cycles(graph, ctx, bound)
+                  if status == "admissible"]
+        brute = min(sum(theta[graph.pair_id(e)] for e in ids)
+                    for ids in cycles) if cycles else None
         if brute is None:
             assert got is None
         else:
@@ -183,10 +292,11 @@ def test_min_weight_bruteforce_battery():
             theta = {pid: Fraction(num, den) for pid in graph.pair_ids()}
             for bound in (3, 6):
                 got = min_admissible_cycle_weight(graph, theta, ctx, max_len=bound)
-                cycles = [c for c in admissible_cycles(graph, ctx, bound)
-                          if c.status == "admissible"]
-                brute = min((sum(theta[graph.pair_id(e)] for e in c.edge_ids)
-                             for c in cycles), default=None)
+                cycles = [ids for ids, _, status
+                          in _frozen_admissible_cycles(graph, ctx, bound)
+                          if status == "admissible"]
+                brute = min((sum(theta[graph.pair_id(e)] for e in ids)
+                             for ids in cycles), default=None)
                 if brute is None:
                     assert got is None, (n, l, k, bound)
                 else:

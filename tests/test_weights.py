@@ -121,16 +121,16 @@ def test_full_check_runs_one_bellman_ford(monkeypatch):
     """Over a finite group the exact condition-II pass has already decided
     whether a negative cycle exists, and mode='full' reuses that answer;
     otherwise the Bellman-Ford runs once for the non-negative-cycle check."""
-    from relasph import stargraph, weights
+    from relasph import stargraph
     real = stargraph.has_negative_cycle
+    bellman_ford = stargraph._negative_cycle
     calls = []
 
-    def counting(graph, theta):
+    def counting(succ, wt):
         calls.append(1)
-        return real(graph, theta)
+        return bellman_ford(succ, wt)
 
-    monkeypatch.setattr(stargraph, "has_negative_cycle", counting)
-    monkeypatch.setattr(weights, "has_negative_cycle", counting)
+    monkeypatch.setattr(stargraph, "_negative_cycle", counting)
     G = cyclic(2)
     p = RelativePresentation(G, ("x",), (fpw(xsyl("x", 3), csyl((("g", 1),))),))
     graph = build_star_graph(p)
