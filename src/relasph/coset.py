@@ -944,16 +944,32 @@ class GroupContext:
         return OrderResult.finite(t.n)
 
     def subgroup_order(self, words: Iterable[Word]) -> OrderResult:
-        """Order of the subgroup generated by `words` (finite groups only)."""
+        """Order of the subgroup generated by `words` (finite groups only),
+        without a coset enumeration of its own: m / gcd(m, exponent sums)
+        over a finite cyclic Z_m, else the orbit of coset 1 under the words
+        in the regular table, which in a finite group is the subgroup."""
         total = self.group_order()
         if not total.is_finite:
             # a subgroup of a visibly infinite free product may still be
             # finite, but we only need this query for finite groups
             return OrderResult.exceeds(self.cap) if total.is_unknown else total
-        t = enumerate_cosets(self.pres, list(words), self.cap)
-        if not t.complete:
-            return OrderResult.exceeds(self.cap)
-        return OrderResult.finite(total.value // t.n)
+        words = list(words)
+        m = total.value
+        if self.moduli is not None:
+            # a finite free product of cyclics is Z_m on the one generator
+            # of order m, its other generators trivial
+            exps = [sum(e for g, e in w if self.moduli[g] == m) for w in words]
+            return OrderResult.finite(m // gcd(m, *exps))
+        t = self.regular_table()
+        orbit = {1}
+        queue = [1]
+        for c in queue:
+            for w in words:
+                d = t.trace(c, w)
+                if d not in orbit:
+                    orbit.add(d)
+                    queue.append(d)
+        return OrderResult.finite(len(orbit))
 
     def conjugate(self, u: Word, v: Word) -> TriState:
         """Conjugacy test; exact for free products of cyclics and for

@@ -11,9 +11,12 @@ per rotation even when rotations repeat as words.
 A non-empty cyclically reduced closed path is admissible when its label
 product is trivial in the coefficient group.  For finite coefficient
 groups the exact minimum weight of an admissible cycle is computed on the
-product of the star graph with the group's regular representation.  Over
-any other group only cycles up to a length bound are enumerated.  Each
-cycle is listed once, by its canonical form: the lexicographically least
+product of the star graph with the group's regular representation.  The
+product (ProductGraph) does not depend on the weights, and one relaxation
+over it serves both queries: the exact minimum with a witness cycle, and
+whether some admissible cycle is lighter than a threshold.  Over any
+other group only cycles up to a length bound are enumerated.  Each cycle
+is listed once, by its canonical form: the lexicographically least
 rotation over both orientations.  That form starts at the least edge id
 among the cycle's edges and their partners, so the enumeration roots each
 cycle at that edge and never walks a rotation or an inversion of it.
@@ -235,6 +238,9 @@ def _negative_cycle(succ, wt: list) -> bool:
     """Bellman-Ford on last-edge states from a virtual source, on the int
     weights `wt` per edge id."""
     dist = [0] * len(succ)
+    # without a negative cycle every distance is the weight of a path
+    # through distinct states, at least the sum of the negative weights
+    floor = sum(w for w in wt if w < 0)
     for _ in range(len(succ) + 1):
         changed = False
         for e, nexts in enumerate(succ):
@@ -242,6 +248,8 @@ def _negative_cycle(succ, wt: list) -> bool:
             for f in nexts:
                 if de + wt[f] < dist[f]:
                     dist[f] = de + wt[f]
+                    if dist[f] < floor:
+                        return True
                     changed = True
         if not changed:
             return False
@@ -254,40 +262,54 @@ def has_negative_cycle(graph: StarGraph, theta: dict) -> bool:
     return _negative_cycle(graph.successors, _integer_weights(graph, theta)[0])
 
 
-def min_admissible_cycle_weight(graph: StarGraph, theta: dict, ctx,
-                                max_len: Optional[int] = None):
-    """Exact minimum weight over all admissible cycles (finite groups).
+@dataclass(frozen=True)
+class ProductGraph:
+    """The star graph times the regular representation of a finite G.
 
-    `theta` maps edge-pair ids to Fractions.  With `max_len` the minimum is
-    taken only over cycles of at most that many edges (used to cross-check
-    against brute-force enumeration).  Returns (weight, cycle edge ids) or
-    None when no admissible cycle exists.  Raises NegativeCycleError when
-    some cyclically reduced closed cycle has negative weight, since then
-    admissible weights are unbounded below.
-
-    The search adds and compares ints: theta times the lcm of its
-    denominators.  Scaling by a positive constant preserves every sum and
-    every comparison, so the search takes the steps the rational one would,
-    and the minimum divided back by the lcm is exact.  A product state
-    (edge e, coset c), the walk ending in e at e's target, is the int
-    e * (|G| + 1) + c.
+    It does not depend on the weights, so one build serves every weight
+    function on the graph.  A state (edge e, coset c), a walk ending in e
+    at e's target with label product c, is the int e * width + c.
     """
-    table = ctx.regular_table()
-    if table is None:
-        raise ValueError("coefficient group is not enumerable within budget; "
-                         "fall back to bounded admissible_cycles")
-    succ = graph.successors
-    wt, den = _integer_weights(graph, theta)
-    if _negative_cycle(succ, wt):
-        raise NegativeCycleError("negative cyclically reduced cycle detected")
+
+    graph: StarGraph
+    width: int  # |G| + 1
+    # step[f][c]: the state reached from coset c along edge f
+    step: tuple = field(repr=False)
+    # closing[s]: the states that close a cycle rooted at edge s, those of
+    # the edges into s's tail other than s's partner, at coset 1
+    closing: tuple = field(repr=False)
+
+
+def product_graph(graph: StarGraph, table) -> ProductGraph:
+    """The product of `graph` with the complete regular coset table of G."""
     edges = graph.edges
     width = table.n + 1
-    # step[f][c]: the state reached from coset c along edge f
-    step = [[0] + [e.eid * width + table.trace(c, e.label)
-                   for c in range(1, width)] for e in edges]
-    moves = [[(step[f], wt[f]) for f in nexts] for nexts in succ]
+    step = tuple([0] + [e.eid * width + table.trace(c, e.label)
+                        for c in range(1, width)] for e in edges)
+    closing = tuple(frozenset(e.eid * width + 1 for e in edges
+                              if e.target == s.source and e.eid != s.partner)
+                    for s in edges)
+    return ProductGraph(graph, width, step, closing)
 
-    best = None
+
+def _lightest_cycle(product: ProductGraph, wt: list,
+                    max_len: Optional[int] = None,
+                    below: Optional[int] = None):
+    """(weight, edge ids) of an admissible cycle on the int weights `wt`
+    per edge id, or None; the weights must admit no negative cyclically
+    reduced cycle.
+
+    Without `below` the cycle is one of least weight, among cycles of at
+    most `max_len` edges when that is given.  With `below` the search stops
+    at the first start edge closing a cycle lighter than `below`, and None
+    means that every admissible cycle weighs at least `below`.
+    """
+    edges = product.graph.edges
+    width = product.width
+    step = product.step
+    moves = [[(step[f], wt[f]) for f in nexts]
+             for nexts in product.graph.successors]
+    best = below
     best_cycle = None
     limit = (max_len - 1) if max_len is not None else None
     # cycles are rooted at each start edge with coset 1
@@ -321,8 +343,7 @@ def min_admissible_cycle_weight(graph: StarGraph, theta: dict, ctx,
         # close the cycle at the start edge's tail with trivial total label
         # and a last edge other than the start's partner; the initial state
         # alone covers single-edge loop cycles
-        closing = {e.eid * width + 1 for e in edges
-                   if e.target == start.source and e.eid != start.partner}
+        closing = product.closing[start.eid]
         for st in reached:
             if st in closing and (best is None or dist[st] + wt[start.eid] < best):
                 ids = []
@@ -335,9 +356,47 @@ def min_admissible_cycle_weight(graph: StarGraph, theta: dict, ctx,
                 ids.reverse()
                 best = dist[st] + wt[start.eid]
                 best_cycle = tuple(ids)
-    if best is None:
+        if below is not None and best_cycle is not None:
+            break
+    return None if best_cycle is None else (best, best_cycle)
+
+
+def admissible_cycle_below(product: ProductGraph, wt: list, below: int):
+    """Whether some admissible cycle weighs less than `below`, on the int
+    weights `wt` per edge id: (weight, edge ids) of one such cycle, or
+    None.  Raises NegativeCycleError as min_admissible_cycle_weight does."""
+    if _negative_cycle(product.graph.successors, wt):
+        raise NegativeCycleError("negative cyclically reduced cycle detected")
+    return _lightest_cycle(product, wt, below=below)
+
+
+def min_admissible_cycle_weight(graph: StarGraph, theta: dict, ctx,
+                                max_len: Optional[int] = None):
+    """Exact minimum weight over all admissible cycles (finite groups).
+
+    `theta` maps edge-pair ids to Fractions.  With `max_len` the minimum is
+    taken only over cycles of at most that many edges (used to cross-check
+    against brute-force enumeration).  Returns (weight, cycle edge ids) or
+    None when no admissible cycle exists.  Raises NegativeCycleError when
+    some cyclically reduced closed cycle has negative weight, since then
+    admissible weights are unbounded below.
+
+    The search adds and compares ints: theta times the lcm of its
+    denominators.  Scaling by a positive constant preserves every sum and
+    every comparison, so the search takes the steps the rational one would,
+    and the minimum divided back by the lcm is exact.
+    """
+    table = ctx.regular_table()
+    if table is None:
+        raise ValueError("coefficient group is not enumerable within budget; "
+                         "fall back to bounded admissible_cycles")
+    wt, den = _integer_weights(graph, theta)
+    if _negative_cycle(graph.successors, wt):
+        raise NegativeCycleError("negative cyclically reduced cycle detected")
+    r = _lightest_cycle(product_graph(graph, table), wt, max_len)
+    if r is None:
         return None
-    return Fraction(best, den), _canonical_cycle(best_cycle, graph)
+    return Fraction(r[0], den), _canonical_cycle(r[1], graph)
 
 
 def to_dot(graph: StarGraph, theta: Optional[dict] = None) -> str:

@@ -15,6 +15,11 @@ the inequalities are sharp and float drift would be unsound.  Condition
 negative-cycle check in stargraph multiply every weight by the lcm of the
 denominators and work on ints: scaling by a positive constant preserves
 every sum and comparison, so they decide exactly what Fractions would.
+The search scales its candidate values once, by L, the lcm of their
+denominators, and decides each candidate on ints: the condition (I)
+pruning sums, the negative-cycle test, and the query for an admissible
+cycle lighter than 2L on one stargraph.ProductGraph (the star graph times
+G's regular representation), built once per search.
 
 Condition (II) quantifies over infinitely many cycles.  For enumerable
 finite coefficient groups it is decided exactly on the product graph; for
@@ -26,14 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .stargraph import (
     NegativeCycleError,
     StarGraph,
+    admissible_cycle_below,
     admissible_cycles,
     has_negative_cycle,
     min_admissible_cycle_weight,
+    product_graph,
 )
 
 CERTIFIED = "certified"
@@ -236,48 +244,69 @@ def search_weight_function(graph: StarGraph, ctx, denominator_bound: int = 3,
     """Backtracking search for a passing weight function.
 
     Values are drawn from a small literature-motivated list first, then
-    from all rationals in [-1, 1] with denominator up to the bound.  A
-    returned function re-verifies by construction; a None result is not a
-    proof that no weight function exists.
+    from all rationals in [-1, 1] with denominator up to the bound.  Every
+    value is scaled once by L, the lcm of their denominators, and each
+    candidate is decided on ints: the pruning sums of condition (I), the
+    negative-cycle test, and the query for an admissible cycle of weight
+    below 2L on the product graph, which is built once per search.  Over a
+    finite enumerable group that decides what check_weight_function does
+    in either mode, as a negative cycle fails both.  Over any other group
+    condition (II) gets only a bounded search, which never certifies, so
+    no candidate can pass; candidates are still counted, never checked.
+    The returned function is re-verified with check_weight_function.  A
+    None result is not a proof that no weight function exists.
     """
     pairs = graph.pair_ids()
     if len(pairs) > 16:
         raise ValueError("search supports at most 16 edge pairs")
     values = _candidate_values(denominator_bound)
-    vmin = min(values)
-    # rotations per relator in terms of pair ids, for pruning partial sums
-    rel_pairs = []
+    scale = lcm(*{v.denominator for v in values})
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    smin = min(scaled)
+    slot = {pid: i for i, pid in enumerate(pairs)}
+    # per relator, its rotation edges' pair slots and condition (I),
+    # sum(scale - s) >= 2 scale over them, as a bound on the sum of the s
+    rel_slots = []
     for ri in range(len(graph.presentation.relators)):
-        rel_pairs.append([graph.pair_id(e.eid) for e in graph.rotation_edges(ri)])
+        slots = [slot[graph.pair_id(e.eid)] for e in graph.rotation_edges(ri)]
+        rel_slots.append((slots, (len(slots) - 2) * scale))
+    product = None
+    if ctx.group_order().is_finite and ctx.regular_table() is not None:
+        product = product_graph(graph, ctx.regular_table())
+    edge_slot = [slot[graph.pair_id(e.eid)] for e in graph.edges]
+    chosen = [0] * len(pairs)  # value index per pair slot
     tried = 0
-    assignment = {}
 
-    def feasible() -> bool:
-        for rp in rel_pairs:
-            best = Fraction(0)
-            for pid in rp:
-                best += (1 - assignment[pid]) if pid in assignment else (1 - vmin)
-            if best < 2:
-                return False
-        return True
+    def passes() -> bool:
+        if product is None:
+            return False
+        wt = [scaled[chosen[i]] for i in edge_slot]
+        try:
+            return admissible_cycle_below(product, wt, 2 * scale) is None
+        except NegativeCycleError:
+            return False
 
-    def rec(i: int):
+    def feasible(i: int) -> bool:
+        # the best case of each relator's sum, pairs after slot i at smin
+        return all(sum(scaled[chosen[j]] if j <= i else smin for j in slots) <= most
+                   for slots, most in rel_slots)
+
+    def rec(i: int) -> bool:
         nonlocal tried
         if i == len(pairs):
             tried += 1
-            theta = WeightFunction(dict(assignment))
-            report = check_weight_function(graph, theta, ctx, mode=mode, bound=bound)
-            return theta if report.passes() else None
-        for v in values:
+            return passes()
+        for vi in range(len(scaled)):
             if tried >= max_candidates:
-                return None
-            assignment[pairs[i]] = v
-            if feasible():
-                got = rec(i + 1)
-                if got is not None:
-                    return got
-            del assignment[pairs[i]]
-        return None
+                return False
+            chosen[i] = vi
+            if feasible(i) and rec(i + 1):
+                return True
+        return False
 
-    found = rec(0)
-    return SearchResult(found, tried >= max_candidates and found is None, tried)
+    if not rec(0):
+        return SearchResult(None, tried >= max_candidates, tried)
+    found = WeightFunction({pid: values[chosen[i]] for i, pid in enumerate(pairs)})
+    if not check_weight_function(graph, found, ctx, mode=mode, bound=bound).passes():
+        raise RuntimeError("search result fails check_weight_function")
+    return SearchResult(found, False, tried)

@@ -342,17 +342,55 @@ def test_weighttest_json_is_identical_across_processes(tmp_path):
         (["--cyclic", "13", "--l", "2", "--k", "1", "--g", "1", "--h", "5",
           "search"], "certified"),
     )
-    src = str(Path(relasph.__file__).parents[1])
     for args, status in runs:
-        outs = []
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
-            proc = subprocess.run(
-                [sys.executable, "-m", "relasph", "weighttest", *args,
-                 "--format", "json"],
-                capture_output=True, text=True, env=env, timeout=120)
-            assert proc.returncode == 0 and proc.stderr == ""
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1]
-        report = json.loads(outs[0][outs[0].index("{"):])
+        out = _json_under_two_hash_seeds("weighttest", *args)
+        report = json.loads(out[out.index("{"):])
         assert report["condition_II"]["status"] == status
+
+
+def _json_under_two_hash_seeds(*argv) -> str:
+    """`python -m relasph *argv --format json` under PYTHONHASHSEED 1 and
+    2; asserts a clean exit and identical bytes, and returns them."""
+    src = str(Path(relasph.__file__).parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "relasph", *argv, "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    return outs[0]
+
+
+def test_classify_json_is_identical_across_processes(tmp_path):
+    # verified verdicts over a non-cyclic group and over Z_6, and an open
+    # verdict whose case hits come from subgroup orders
+    files = {}
+    for name, text in (
+            ("s3xz3", "group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>; "
+                      "x; rel x^2 g x^-1 h"),
+            ("z2xz4", "group <a, b | a^2, b^4, a b a^-1 b^-1>; x; "
+                      "rel x^1 a x^-6 b")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    runs = (
+        ([str(files["s3xz3"]), "--verify"], "no", ["claimed-order"]),
+        (["--cyclic", "6", "--l", "2", "--k", "-1", "--g", "3", "--h", "1",
+          "--verify"], "no", ["claimed-order"]),
+        ([str(files["z2xz4"])], "unknown", None),
+    )
+    for args, aspherical, checks in runs:
+        out = json.loads(_json_under_two_hash_seeds("classify", *args))
+        assert out["aspherical"] == aspherical
+        if checks is not None:
+            assert [c["check"] for c in out["verify"]] == checks
+    assert out["cases"] == ["BBP-E4", "AAE-E"]
+
+
+def test_table1_json_is_identical_across_processes():
+    rows = json.loads(_json_under_two_hash_seeds("table1", "--only", "L6"))
+    assert [r["fixture"] for r in rows] == \
+        ["{2,1} L6", "{2,-1} L6", "{3,-1} L6"]
+    assert all(r["order_ok"] and r["verdict_ok"] for r in rows)

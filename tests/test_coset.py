@@ -22,6 +22,7 @@ from relasph.coset import (
     group_order,
     lift,
     order_via_cyclic_subgroup,
+    ordinary,
 )
 from relasph.words import (
     CoefficientGroup,
@@ -241,6 +242,44 @@ def test_equal_agrees_with_the_product_word(name, cap, answers):
         assert got == ctx.is_trivial_word(wmul(u, winv(v))), (u, v)
         seen.add(got)
     assert seen == answers
+
+
+_SUBGROUP_GROUPS = {
+    **{f"Z{n}": cyclic(n) for n in (1, 2, 6, 12, 30)},
+    # Z6 with a trivial second generator, and Z6 and Z2xZ4 not written as
+    # free products of cyclics, so that they go through the regular table
+    "Z6+1": CoefficientGroup(("g", "h"), ((("g", 6),), (("h", 1),))),
+    "Z2xZ3": CoefficientGroup(("g", "h"), ((("g", 2),), (("h", 3),),
+                                           (("g", 1), ("h", 1), ("g", -1), ("h", -1)))),
+    "Z2xZ4": CoefficientGroup(("g", "h"), ((("g", 2),), (("h", 4),),
+                                           (("g", 1), ("h", 1), ("g", -1), ("h", -1)))),
+    "S3xZ3": S3xZ3,
+}
+
+
+@pytest.mark.parametrize("name", _SUBGROUP_GROUPS)
+def test_subgroup_order_matches_the_subgroup_index(name):
+    # subgroup_order enumerates nothing of its own; it must agree with
+    # |G| / [G : <words>] from an enumeration of the subgroup's cosets
+    group = _SUBGROUP_GROUPS[name]
+    rng = random.Random(name)
+    ctx = GroupContext(group, 1000)
+    total = ctx.group_order().value
+    for _ in range(40):
+        words = [_random_word(rng, group.generators, 4)
+                 for _ in range(rng.randrange(4))]
+        t = enumerate_cosets(ordinary(group), words, 1000)
+        assert t.complete
+        assert ctx.subgroup_order(words) == OrderResult.finite(total // t.n), words
+
+
+def test_subgroup_order_over_z_m_needs_no_budget():
+    # [Z30 : <h^6>] = 6 cosets do not fit a cap of 4, but |<h^6>| = 5 is
+    # known from the exponent alone
+    ctx = GroupContext(cyclic(30, "h"), 4)
+    assert not enumerate_cosets(ordinary(cyclic(30, "h")), [(("h", 6),)], 4).complete
+    assert ctx.subgroup_order([(("h", 6),)]) == OrderResult.finite(5)
+    assert ctx.subgroup_order([(("h", 6),), (("h", -10),)]) == OrderResult.finite(15)
 
 
 def test_element_order_power_divisibility():

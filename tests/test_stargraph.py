@@ -9,10 +9,13 @@ from relasph.coset import context_for
 from relasph.stargraph import (
     NegativeCycleError,
     _canonical_cycle,
+    _integer_weights,
+    admissible_cycle_below,
     admissible_cycles,
     build_star_graph,
     has_negative_cycle,
     min_admissible_cycle_weight,
+    product_graph,
     to_dot,
 )
 from relasph.weights import _candidate_values
@@ -452,6 +455,58 @@ def test_min_weight_matches_rational_reference():
         assert has_negative_cycle(graph, theta) == (want is NegativeCycleError)
     # the grid reaches every kind of outcome
     assert outcomes == {"weight", None, NegativeCycleError}
+
+
+def test_threshold_query_agrees_with_the_minimum():
+    """admissible_cycle_below on one prebuilt product graph finds a cycle
+    exactly when the minimum admissible weight is below the threshold, and
+    the cycle it gives is a closed, cyclically reduced, admissible path of
+    the weight it reports; a negative cycle raises as the minimum does."""
+    rng = random.Random(20261019)
+    values = _candidate_values(3)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        l = rng.randint(1, 4)
+        k = rng.choice([k for k in range(-4, 5) if k])
+        a, b = rng.randint(1, n - 1), rng.randint(1, n - 1)
+        G = cyclic(n)
+        w = fpw(xsyl("x", l), csyl((("g", a),)), xsyl("x", k), csyl((("g", b),)))
+        graph = build_star_graph(RelativePresentation(G, ("x",), (w,)))
+        ctx = context_for(G, 1000)
+        product = product_graph(graph, ctx.regular_table())
+        floor = rng.choice((-1, 0, Fraction(1, 3)))
+        theta = {pid: rng.choice([v for v in values if v >= floor])
+                 for pid in graph.pair_ids()}
+        wt, den = _integer_weights(graph, theta)
+        try:
+            exact = min_admissible_cycle_weight(graph, theta, ctx)
+        except NegativeCycleError:
+            with pytest.raises(NegativeCycleError):
+                admissible_cycle_below(product, wt, 0)
+            outcomes.add("negative")
+            continue
+        if exact is None:
+            assert admissible_cycle_below(product, wt, 10 ** 9) is None
+            continue
+        least = exact[0] * den
+        assert least.denominator == 1
+        assert admissible_cycle_below(product, wt, int(least)) is None
+        weight, ids = admissible_cycle_below(product, wt, int(least) + 1)
+        assert weight == least == sum(wt[e] for e in ids)
+        assert all(f in graph.successors[e] for e, f in zip(ids, ids[1:] + ids[:1]))
+        label = ()
+        for e in ids:
+            label = wmul(label, graph.edges[e].label)
+        assert ctx.is_trivial_word(label) == TriState.YES
+        outcomes.add("weight")
+    assert outcomes == {"weight", "negative"}
+    # a single-letter relator closes no admissible cycle at all
+    G = cyclic(5)
+    graph = build_star_graph(
+        RelativePresentation(G, ("x",), (fpw(xsyl("x", 1), csyl((("g", 1),))),)))
+    product = product_graph(graph, context_for(G, 1000).regular_table())
+    assert admissible_cycle_below(product, [-1] * len(graph.edges), 10 ** 9) is None
 
 
 def test_dot_export():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from relasph.classify import classify_presentation
 from relasph.coset import context_for
 from relasph.stargraph import build_star_graph
 from relasph.weights import (
@@ -17,10 +19,12 @@ from relasph.weights import (
 )
 from relasph.words import (
     RelativePresentation,
+    TriState,
     csyl,
     cyclic,
     fpw,
     free_group,
+    parse_presentation,
     xsyl,
 )
 
@@ -196,3 +200,120 @@ def test_search_space_cap_flag():
     res = search_weight_function(graph, ctx, denominator_bound=3,
                                  max_candidates=1)
     assert res.found is None and res.capped
+
+
+def _frozen_candidate_values(denominator_bound):
+    primary = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3),
+               Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+    extras = sorted({Fraction(p, q) for q in range(1, denominator_bound + 1)
+                     for p in range(-q, q + 1)} - set(primary),
+                    key=lambda v: (v.denominator, v))
+    return primary + extras
+
+
+def _frozen_search(graph, ctx, denominator_bound, bound, mode, max_candidates):
+    """Reference for search_weight_function, independent of its integer
+    path: the former backtracking search, pruning on Fraction sums of
+    condition (I) and deciding each complete candidate with a full
+    check_weight_function.  Returns (found weights or None, tried, capped)."""
+    pairs = graph.pair_ids()
+    values = _frozen_candidate_values(denominator_bound)
+    vmin = min(values)
+    rel_pairs = [[graph.pair_id(e.eid) for e in graph.rotation_edges(ri)]
+                 for ri in range(len(graph.presentation.relators))]
+    tried = 0
+    assignment = {}
+
+    def feasible():
+        for rp in rel_pairs:
+            best = Fraction(0)
+            for pid in rp:
+                best += (1 - assignment[pid]) if pid in assignment else (1 - vmin)
+            if best < 2:
+                return False
+        return True
+
+    def rec(i):
+        nonlocal tried
+        if i == len(pairs):
+            tried += 1
+            theta = WeightFunction(dict(assignment))
+            report = check_weight_function(graph, theta, ctx, mode=mode, bound=bound)
+            return theta if report.passes() else None
+        for v in values:
+            if tried >= max_candidates:
+                return None
+            assignment[pairs[i]] = v
+            if feasible():
+                got = rec(i + 1)
+                if got is not None:
+                    return got
+            del assignment[pairs[i]]
+        return None
+
+    found = rec(0)
+    return (None if found is None else found.weights, tried,
+            tried >= max_candidates and found is None)
+
+
+def test_search_matches_frozen_search():
+    """The integer search visits the candidates of the former search in
+    the same order and gives the same (found, tried, capped), on seeded
+    templates over Z_n in weak and full mode, at denominator bounds 2 and
+    3, and on a free group, where no candidate can pass."""
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(24):
+        n = rng.randint(2, 30)
+        l = rng.randint(1, 3)
+        k = rng.choice((-3, -2, -1, 1, 2))
+        a, b = rng.randint(1, n - 1), rng.randint(1, n - 1)
+        G = cyclic(n, "t")
+        w = fpw(xsyl("x", l), csyl((("t", a),)), xsyl("x", k), csyl((("t", b),)))
+        graph = build_star_graph(RelativePresentation(G, ("x",), (w,)))
+        ctx = context_for(G, 1000)
+        for denominator_bound in (2, 3):
+            for mode in ("weak", "full"):
+                want = _frozen_search(graph, ctx, denominator_bound, 6, mode, 300)
+                res = search_weight_function(graph, ctx, denominator_bound, 6,
+                                             mode, max_candidates=300)
+                got = (None if res.found is None else res.found.weights,
+                       res.tried, res.capped)
+                assert got == want, (n, l, k, a, b, denominator_bound, mode)
+                outcomes.add("found" if got[0] is not None
+                             else "capped" if got[2] else "exhausted")
+    assert outcomes == {"found", "capped", "exhausted"}
+    G = free_group("g", "h")
+    w = fpw(xsyl("x", 2), csyl((("g", 1),)), xsyl("x", -1), csyl((("h", 1),)))
+    graph = build_star_graph(RelativePresentation(G, ("x",), (w,)))
+    ctx = context_for(G, 1000)
+    res = search_weight_function(graph, ctx, 3, 4, "weak", max_candidates=12)
+    assert (None, res.tried, res.capped) == \
+        _frozen_search(graph, ctx, 3, 4, "weak", 12) == (None, 12, True)
+
+
+def test_no_weight_function_for_nonaspherical_verdicts():
+    """A passing weight function proves asphericity, so the search finds
+    none over a seeded sample of cyclic grid instances that the classifier
+    calls NonAspherical; the smaller shapes exhaust their candidates."""
+    rng = random.Random(20261019)
+    shapes = [(n, l, k, a, b) for n in range(2, 13) for l in (1, 2, 3)
+              for k in (-3, -2, -1, 1, 2, 3)
+              for a in range(1, n) for b in range(1, n)]
+    rng.shuffle(shapes)
+    checked = exhausted = 0
+    for n, l, k, a, b in shapes:
+        pres = parse_presentation(
+            f"group <h | h^{n}>; x; rel x^{l} h^{a} x^{k} h^{b}")
+        _, _, verdict = classify_presentation(pres, 1000)
+        if verdict.aspherical != TriState.NO:
+            continue
+        res = search_weight_function(build_star_graph(pres),
+                                     context_for(pres.coeff, 1000),
+                                     max_candidates=4000)
+        assert res.found is None, (n, l, k, a, b)
+        exhausted += not res.capped
+        checked += 1
+        if checked == 50:
+            break
+    assert checked == 50 and exhausted >= 10
