@@ -40,6 +40,7 @@ from .words import (
     C,
     CoefficientGroup,
     FreeProductWord,
+    MuValue,
     OrderResult,
     RelativePresentation,
     TriState,
@@ -47,6 +48,7 @@ from .words import (
     Word,
     X,
     csyl,
+    cyclic,
     cyclically_reduce,
     fpw,
     mu,
@@ -196,6 +198,26 @@ def instance_from_presentation(p: RelativePresentation,
 # case flags
 # ---------------------------------------------------------------------------
 
+# Almost every case and exceptional family holds for (g, h) or for (h, g),
+# the swap made by the rotation (l,k,g,h) -> (k,l,h,g).  Such a condition
+# is stated once, over a side (a, b): one of the two orderings of g and h.
+POWERS = (2, -2, 3, -3, 4)
+
+
+@dataclass(frozen=True)
+class Side:
+    power: dict  # p -> TriState of a = b^p, for p in POWERS
+    oa: OrderResult  # |a|
+    ob: OrderResult  # |b|
+
+
+def _side(ctx, a: Word, b: Word, oa: OrderResult, ob: OrderResult) -> Side:
+    b2 = wmul(b, b)
+    b3 = wmul(b2, b)
+    words = {2: b2, -2: winv(b2), 3: b3, -3: winv(b3), 4: wmul(b2, b2)}
+    return Side({p: ctx.equal(a, words[p]) for p in POWERS}, oa, ob)
+
+
 @dataclass(frozen=True)
 class CaseFlags:
     values: dict  # name -> TriState, over CASE_NAMES + EXCEPTIONAL_NAMES
@@ -203,9 +225,10 @@ class CaseFlags:
     oh: OrderResult
     ogh: OrderResult  # |g h^-1|
     mu: MuValue
-    # "g=h^-2" -> TriState: each equality between g, h and their powers
-    # that the flags read, so that callers need not ask again
-    equalities: dict
+    sides: tuple  # Side (g, h), Side (h, g)
+    equal: TriState  # g = h
+    inverse: TriState  # g = h^-1
+    commute: TriState  # g h = h g
     blockers: tuple
 
     def __getitem__(self, name: str) -> TriState:
@@ -214,6 +237,10 @@ class CaseFlags:
     def holding(self) -> tuple:
         return tuple(n for n in (*CASE_NAMES, *EXCEPTIONAL_NAMES)
                      if self.values[n] == YES)
+
+    def either(self, pred) -> TriState:
+        """pred(side) for (g, h) or for (h, g)."""
+        return tri_or(*map(pred, self.sides))
 
 
 def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
@@ -230,114 +257,58 @@ def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
 
     m = mu(ctx, A, B)
     og, oh, ogh = m.orders
+    sides = (_side(ctx, A, B, og, oh), _side(ctx, B, A, oh, og))
+    equal = ctx.equal(A, B)
+    inverse = ctx.equal(A, winv(B))
+    commute = ctx.equal(wmul(A, B), wmul(B, A))
 
-    A2, B2 = wmul(A, A), wmul(B, B)
-    A3, B3 = wmul(A2, A), wmul(B2, B)
-    eqs = {
-        "g=h": ctx.equal(A, B),
-        "g=h^-1": ctx.equal(A, winv(B)),
-        "g=h^2": ctx.equal(A, B2),
-        "h=g^2": ctx.equal(B, A2),
-        "g=h^-2": ctx.equal(A, winv(B2)),
-        "h=g^-2": ctx.equal(B, winv(A2)),
-        "g=h^3": ctx.equal(A, B3),
-        "h=g^3": ctx.equal(B, A3),
-        "g=h^-3": ctx.equal(A, winv(B3)),
-        "h=g^-3": ctx.equal(B, winv(A3)),
-        "g=h^4": ctx.equal(A, wmul(B2, B2)),
-        "h=g^4": ctx.equal(B, wmul(A2, A2)),
-        "gh=hg": ctx.equal(wmul(A, B), wmul(B, A)),
-    }
+    # each mirrored flag on side (a, b); the flag holds on either side
+    halves = []
+    for s in sides:
+        p, oa, ob = s.power, s.oa, s.ob
+        halves.append({
+            "J4": tri_and(p[2], order_is(ob, 4)),
+            "J6": tri_and(order_is(oa, 2), order_is(ob, 3), commute),
+            "K5": tri_and(p[2], order_is(ob, 5)),
+            "K6+": tri_and(p[2], order_is(ob, 6)),
+            "K6-": tri_and(p[-2], order_is(ob, 6)),
+            "L6": tri_and(p[3], order_is(ob, 6)),
+            # gp{g,h} = Z2 + Z_n: commuting generators of orders 2 and n,
+            # once the subgroup order below is 2n
+            "BBP-E4": tri_and(order_is(oa, 2), order_is(ob, 4), commute),
+            "BBP-E5": tri_and(order_is(oa, 2), order_is(ob, 5), commute),
+            "HM-E": tri_and(p[2], order_in_open_range(ob, 6)),
+            "E-E1": tri_and(order_is(ob, 9), order_is(oa, 3), p[3]),
+            "E-E2": tri_and(order_is(ob, 9), order_is(oa, 3), p[-3]),
+            "E-E3": tri_and(order_is(ob, 8), order_is(oa, 4), p[2]),
+            "AAE-E4": tri_and(order_is(ob, 8), p[4]),
+            "D-E1": tri_and(p[2], order_in_open_range(ob, 3)),
+            "D-E2": tri_and(p[-2], order_in_open_range(ob, 3)),
+            "D-E4": tri_and(p[3], order_is(ob, 9)),
+        })
+    values = {name: tri_or(v, halves[1][name]) for name, v in halves[0].items()}
 
     # (P): mu > 1 and g != h; a lower bound above 1 already decides it
-    if m.value > 1 and not m.lower_bound_only:
-        p_mu = YES
-    elif m.value > 1 and m.lower_bound_only:
-        p_mu = YES  # true mu >= computed value > 1
-    elif not m.lower_bound_only:
-        p_mu = NO
-    else:
-        p_mu = UNKNOWN
-    flag_P = tri_and(p_mu, tri_not(eqs["g=h"]))
-
-    def orders_are(na: int, nb: int) -> TriState:
-        return tri_or(tri_and(order_is(og, na), order_is(oh, nb)),
-                      tri_and(order_is(og, nb), order_is(oh, na)))
-
-    values = {
-        "P": flag_P,
-        "Z": tri_and(eqs["g=h"], order_finite(og)),
-        "M": tri_and(eqs["g=h^-1"], order_finite(og)),
-        "J4": tri_or(tri_and(eqs["g=h^2"], order_is(oh, 4)),
-                     tri_and(eqs["h=g^2"], order_is(og, 4))),
-        "J6": tri_and(orders_are(2, 3), eqs["gh=hg"]),
-        "K5": tri_or(tri_and(eqs["g=h^2"], order_is(oh, 5)),
-                     tri_and(eqs["h=g^2"], order_is(og, 5))),
-        "K6+": tri_or(tri_and(eqs["g=h^2"], order_is(oh, 6)),
-                      tri_and(eqs["h=g^2"], order_is(og, 6))),
-        "K6-": tri_or(tri_and(eqs["g=h^-2"], order_is(oh, 6)),
-                      tri_and(eqs["h=g^-2"], order_is(og, 6))),
-        "L6": tri_or(tri_and(eqs["g=h^3"], order_is(oh, 6)),
-                     tri_and(eqs["h=g^3"], order_is(og, 6))),
-    }
-
-    def subgroup_is_2_x(n2: int) -> TriState:
-        # gp{g,h} isomorphic to Z2 + Z_n2 for n2 in (4, 5): commuting
-        # generators of the right orders with subgroup order 2*n2
-        want = orders_are(2, n2)
-        pre = tri_and(want, eqs["gh=hg"])
-        if pre == NO:
-            return NO
-        sub = ctx.subgroup_order([A, B])
-        return tri_and(pre, order_is(sub, 2 * n2))
-
-    # AAE-E: gp{g,h} = Z2 + Z4 with no constraint tying g,h to each other;
-    # an abelian order-8 group on two generators of exponent <= 4 is Z2+Z4
-    def aae_e() -> TriState:
-        small = tri_and(
-            eqs["gh=hg"],
-            tri_or(order_is(og, 2), order_is(og, 4)),
-            tri_or(order_is(oh, 2), order_is(oh, 4)))
-        if small == NO:
-            return NO
-        sub = ctx.subgroup_order([A, B])
-        return tri_and(small, order_is(sub, 8))
-
+    p_mu = YES if m.value > 1 else UNKNOWN if m.lower_bound_only else NO
     values.update({
-        "BBP-E4": subgroup_is_2_x(4),
-        "BBP-E5": subgroup_is_2_x(5),
-        "HM-E": tri_or(tri_and(eqs["g=h^2"], order_in_open_range(oh, 6)),
-                       tri_and(eqs["h=g^2"], order_in_open_range(og, 6))),
-        "AEJ-E": tri_or(
-            tri_and(eqs["g=h^2"], order_in_open_range(oh, 6),
-                    tri_bool(l < k < 2 * l)),
-            tri_and(eqs["h=g^2"], order_in_open_range(og, 6),
-                    tri_bool(k < l < 2 * k)),
-            tri_and(eqs["h=g^2"], order_in_open_range(og, 6),
-                    tri_bool(l < k < 2 * l)),
-            tri_and(eqs["g=h^2"], order_in_open_range(oh, 6),
-                    tri_bool(k < l < 2 * k))),
-        "E-E1": tri_or(
-            tri_and(order_is(og, 9), order_is(oh, 3), eqs["h=g^3"]),
-            tri_and(order_is(oh, 9), order_is(og, 3), eqs["g=h^3"])),
-        "E-E2": tri_or(
-            tri_and(order_is(og, 9), order_is(oh, 3), eqs["h=g^-3"]),
-            tri_and(order_is(oh, 9), order_is(og, 3), eqs["g=h^-3"])),
-        "E-E3": tri_or(
-            tri_and(order_is(og, 8), order_is(oh, 4), eqs["h=g^2"]),
-            tri_and(order_is(oh, 8), order_is(og, 4), eqs["g=h^2"])),
-        "AAE-E": aae_e(),
-        "AAE-E4": tri_or(tri_and(order_is(oh, 8), eqs["g=h^4"]),
-                         tri_and(order_is(og, 8), eqs["h=g^4"])),
-        "D-E1": tri_or(tri_and(eqs["g=h^2"], order_in_open_range(oh, 3)),
-                       tri_and(eqs["h=g^2"], order_in_open_range(og, 3))),
-        "D-E2": tri_or(tri_and(eqs["g=h^-2"], order_in_open_range(oh, 3)),
-                       tri_and(eqs["h=g^-2"], order_in_open_range(og, 3))),
-        "D-E4": tri_or(tri_and(eqs["g=h^3"], order_is(oh, 9)),
-                       tri_and(eqs["h=g^3"], order_is(og, 9))),
+        "P": tri_and(p_mu, tri_not(equal)),
+        "Z": tri_and(equal, order_finite(og)),
+        "M": tri_and(inverse, order_finite(og)),
+        "AEJ-E": tri_and(values["HM-E"],
+                         tri_bool(l < k < 2 * l or k < l < 2 * k)),
+        # gp{g,h} = Z2 + Z4 with no constraint tying g, h to each other:
+        # an abelian order-8 group on two generators of exponent <= 4
+        "AAE-E": tri_and(commute,
+                         tri_or(order_is(og, 2), order_is(og, 4)),
+                         tri_or(order_is(oh, 2), order_is(oh, 4))),
     })
+    for name, n in (("BBP-E4", 8), ("BBP-E5", 10), ("AAE-E", 8)):
+        if values[name] != NO:
+            values[name] = tri_and(values[name],
+                                   order_is(ctx.subgroup_order([A, B]), n))
     blockers = tuple(sorted(n for n, v in values.items() if v == UNKNOWN))
-    return CaseFlags(values, og, oh, ogh, m, eqs, blockers)
+    return CaseFlags(values, og, oh, ogh, m, sides, equal, inverse, commute,
+                     blockers)
 
 
 # ---------------------------------------------------------------------------
@@ -346,25 +317,17 @@ def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
 
 THREE_MANIFOLD = "three-manifold"
 
-# row key -> case -> order of the defined group over the cyclic core
-# (None: asphericity status open)
+# (row key, case) -> order of the defined group over the cyclic core, for
+# the resolved cells; every other cell of the four cases is open
 CASE_TABLE = {
     ("2,1", "K5"): 165, ("2,1", "K6+"): 378, ("2,1", "K6-"): 342,
     ("2,1", "L6"): 342,
-    ("3,1", "K5"): 1100, ("3,1", "K6+"): None, ("3,1", "K6-"): None,
-    ("3,1", "L6"): 24530688,
-    ("4,1", "K5"): 3775, ("4,1", "K6+"): None, ("4,1", "K6-"): None,
-    ("4,1", "L6"): None,
-    ("3,2", "K5"): 2525, ("3,2", "K6+"): None, ("3,2", "K6-"): None,
-    ("3,2", "L6"): None,
-    ("n,1", "K5"): None, ("n,1", "K6+"): None, ("n,1", "K6-"): None,
-    ("n,1", "L6"): None,
-    ("pos", "K5"): None, ("pos", "K6+"): None, ("pos", "K6-"): None,
-    ("pos", "L6"): None,
+    ("3,1", "K5"): 1100, ("3,1", "L6"): 24530688,
+    ("4,1", "K5"): 3775,
+    ("3,2", "K5"): 2525,
     ("2,-1", "K5"): 55, ("2,-1", "K6+"): 336, ("2,-1", "K6-"): THREE_MANIFOLD,
     ("2,-1", "L6"): 54,
-    ("3,-1", "K5"): 110, ("3,-1", "K6+"): None, ("3,-1", "K6-"): None,
-    ("3,-1", "L6"): 9072,
+    ("3,-1", "K5"): 110, ("3,-1", "L6"): 9072,
 }
 
 
@@ -570,17 +533,13 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
                             f"case {case} without the isomorphism criterion "
                             f"(|l+k| = 1 and l or k divisible by {n})")
 
-    # ---- cases Z / M: aspherical only in degenerate exponent shapes that
-    # cannot occur for l > 0, k != 0
+    # ---- cases Z / M: aspherical only with a zero exponent, which l > 0,
+    # k != 0 rules out
     for case in ("Z", "M"):
         if flags[case] == YES:
-            crit = abs(l + k) == 1 and (l == 0 or k == 0)
-            if not crit:
-                return negative(f"case-{case}-isomorphism",
-                                f"case {case}: aspherical would force "
-                                "|l+k| = 1 with a zero exponent")
-            return _verdict(UNKNOWN, YES, f"case-{case}-isomorphism",
-                            "degenerate exponents", flags=flags, hits=hits)
+            return negative(f"case-{case}-isomorphism",
+                            f"case {case}: aspherical would force "
+                            "|l+k| = 1 with a zero exponent")
 
     # ---- case P: resolved negatively for the families below, otherwise
     # only conjecturally non-aspherical
@@ -617,7 +576,7 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
         for case, want in CASE_ORDERS.items():
             if flags[case] != YES:
                 continue
-            entry = CASE_TABLE[(row, case)]
+            entry = CASE_TABLE.get((row, case))
             if entry is None:
                 return open_case("table-open",
                                  f"case {case} at exponents ({l},{k}) is an "
@@ -637,10 +596,8 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
             if flags[name] == YES:
                 return open_exceptional(name)
         excluded = families  # flags the row's theorem needs to be NO
-        eqs = flags.equalities
         if row == "2,1":
-            sq = tri_or(tri_and(eqs["g=h^2"], order_finite(flags.oh)),
-                        tri_and(eqs["h=g^2"], order_finite(flags.og)))
+            sq = flags.either(lambda s: tri_and(s.power[2], order_finite(s.ob)))
             if sq == YES:
                 return negative("lk-2-1-square",
                                 "g = h^2 or h = g^2 with finite order at "
@@ -649,18 +606,17 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
             if sq == UNKNOWN:
                 return open_blocked("square condition undecided at (2,1)")
         if row == "2,-1":
-            og, oh = flags.og, flags.oh
-            commute = eqs["gh=hg"]
+            og, oh, commute = flags.og, flags.oh, flags.commute
             comm_word = wmul(A, B, A, B, winv(A), winv(B), winv(A), winv(B))
-            sq_any = tri_or(eqs["g=h^2"], eqs["h=g^2"])
+            sq_any = flags.either(lambda s: s.power[2])
             subcases = {
-                "i": tri_or(tri_and(eqs["g=h^-2"], order_finite(oh)),
-                            tri_and(eqs["h=g^-2"], order_finite(og))),
+                "i": flags.either(
+                    lambda s: tri_and(s.power[-2], order_finite(s.ob))),
                 "ii": tri_and(commute,
                               tri_or(order_is(og, 2), order_is(oh, 2))),
                 "iii": tri_and(
-                    tri_or(tri_and(order_is(og, 2), order_is(oh, 3)),
-                           tri_and(order_is(og, 3), order_is(oh, 2))),
+                    flags.either(lambda s: tri_and(order_is(s.oa, 2),
+                                                   order_is(s.ob, 3))),
                     ctx.is_trivial_word(comm_word)),
                 "iv": tri_and(order_is(og, 3), order_is(oh, 3), commute),
                 "v": tri_and(order_is(og, 7), order_is(oh, 7), sq_any),
@@ -737,15 +693,14 @@ def _spread_exponent_case(flags, l, k) -> TriState:
         return NO
     if flags["Z"] != NO or flags["M"] != NO:
         return UNKNOWN if (flags["Z"] == UNKNOWN or flags["M"] == UNKNOWN) else NO
-    og, oh = flags.og, flags.oh
-    ne = lambda name: tri_not(flags.equalities[name])
-    c1 = tri_and(order_at_least(og, 6), order_at_least(oh, 3),
-                 ne("h=g^2"), ne("h=g^-2"), ne("h=g^-3"), ne("g=h^-2"))
-    c2 = tri_and(order_at_least(og, 3), order_at_least(oh, 6),
-                 ne("g=h^2"), ne("g=h^-2"), ne("g=h^-3"), ne("h=g^-2"))
-    c3 = tri_and(order_at_least(og, 4), order_at_least(oh, 4),
-                 ne("g=h^-2"), ne("h=g^-2"))
-    return tri_or(c1, c2, c3)
+    # neither g = h^-2 nor h = g^-2, and on some side |b| >= 6, |a| >= 3,
+    # a != b^2 and a != b^-3, or else |g|, |h| >= 4
+    wide = flags.either(lambda s: tri_and(
+        order_at_least(s.ob, 6), order_at_least(s.oa, 3),
+        tri_not(s.power[2]), tri_not(s.power[-3])))
+    both4 = tri_and(order_at_least(flags.og, 4), order_at_least(flags.oh, 4))
+    return tri_and(tri_not(flags.either(lambda s: s.power[-2])),
+                   tri_or(wide, both4))
 
 
 def classify_presentation(p: RelativePresentation, cap: int = DEFAULT_CAP):
@@ -868,12 +823,8 @@ class Fixture:
     expected_order: int
 
     def instance(self) -> LengthFourInstance:
-        return LengthFourInstance(cyclic_group(self.n), (("h", self.a),),
+        return LengthFourInstance(cyclic(self.n, "h"), (("h", self.a),),
                                   (("h", self.b),), self.l, self.k)
-
-
-def cyclic_group(n: int) -> CoefficientGroup:
-    return CoefficientGroup(("h",), ((("h", n),),))
 
 
 TABLE1_FIXTURES = (

@@ -33,7 +33,6 @@ from .classify import (
     LengthFourInstance,
     classify,
     classify_presentation,
-    cyclic_group,
     fixture_order,
     verify_verdict,
 )
@@ -50,6 +49,7 @@ from .stargraph import build_star_graph, to_dot
 from .weights import WeightFunction, check_weight_function, search_weight_function
 from .words import (
     TriState,
+    cyclic,
     parse_presentation,
     parse_word,
     word_str,
@@ -92,7 +92,7 @@ def _load_presentation(args):
         if None in (args.l, args.k, args.g, args.h):
             raise ValueError("--cyclic requires --l, --k, --g and --h")
         inst = LengthFourInstance(
-            cyclic_group(args.cyclic), (("h", args.g),), (("h", args.h),),
+            cyclic(args.cyclic, "h"), (("h", args.g),), (("h", args.h),),
             args.l, args.k)
         return inst.presentation()
     if not args.presentation:

@@ -44,7 +44,6 @@ from .words import (
     X,
     cyclic_word_reduce,
     free_reduce,
-    winv,
     wmul,
 )
 
@@ -815,7 +814,6 @@ class GroupContext:
         self.cap = cap
         self._regular: Optional[CosetTable] = None
         self._regular_tried = False
-        self._schreier: Optional[list] = None
 
     # -- normal forms for free products of cyclics --------------------------
 
@@ -860,27 +858,6 @@ class GroupContext:
             t = enumerate_cosets(self.pres, [], self.cap)
             self._regular = t if t.complete else None
         return self._regular
-
-    def _schreier_words(self) -> list:
-        """A word reaching each coset of the regular table from 1."""
-        if self._schreier is None:
-            t = self.regular_table()
-            assert t is not None
-            words = [None] * (t.n + 1)
-            words[1] = ()
-            queue = [1]
-            gens = t.pres.generators
-            W = t.ncols
-            while queue:
-                a = queue.pop(0)
-                for i, g in enumerate(gens):
-                    for c, e in ((2 * i, 1), (2 * i + 1, -1)):
-                        b = t.tab[a * W + c]
-                        if b and words[b] is None:
-                            words[b] = wmul(words[a], ((g, e),))
-                            queue.append(b)
-            self._schreier = words
-        return self._schreier
 
     # -- oracle queries ------------------------------------------------------
 
@@ -985,14 +962,21 @@ class GroupContext:
                 if a == b[i:] + b[:i]:
                     return TriState.YES
             return TriState.NO
-        t = self.regular_table()
-        if t is None:
+        if self.regular_table() is None:
             return TriState.UNKNOWN
-        target = t.trace(1, v)
-        for word in self._schreier_words()[1:]:
-            if t.trace(1, wmul(winv(word), u, word)) == target:
-                return TriState.YES
-        return TriState.NO
+        # u's conjugacy class, breadth first: in a finite group conjugating
+        # by the generators alone reaches all of it
+        target = self._element(v)
+        seen = {self._element(u)}
+        queue = [u]
+        for w in queue:
+            for g in self.pres.generators:
+                c = wmul(((g, -1),), w, ((g, 1),))
+                key = self._element(c)
+                if key not in seen:
+                    seen.add(key)
+                    queue.append(c)
+        return TriState.YES if target in seen else TriState.NO
 
     def is_torsion_free(self) -> TriState:
         if self.moduli is not None:

@@ -575,24 +575,6 @@ def curvature_formula(degrees) -> Fraction:
     return Fraction(2 - k) + sum(Fraction(2, d) for d in degrees)
 
 
-@dataclass(frozen=True)
-class TransferRule:
-    source: int
-    sink: int
-    amount: Fraction
-
-
-def apply_distribution(per_region: dict, rules) -> dict:
-    """Bookkeeping for curvature distribution schemes: move the stated
-    amounts and return the adjusted region curvatures.  The total is
-    conserved, so a scheme can only redistribute, never destroy, the 4*pi."""
-    out = dict(per_region)
-    for rule in rules:
-        out[rule.source] -= Fraction(rule.amount)
-        out[rule.sink] += Fraction(rule.amount)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------

@@ -230,24 +230,13 @@ def fpw_invert(w: FreeProductWord) -> FreeProductWord:
     return FreeProductWord(tuple(out))
 
 
-class _SyntacticOracle:
-    """Fallback triviality test with free-group semantics: a coefficient
-    word is trivial exactly when it is empty.  Used when no coefficient
-    group oracle is supplied."""
-
-    def is_trivial_word(self, w: Word) -> TriState:
-        return TriState.YES if not w else TriState.NO
-
-
-_SYNTACTIC = _SyntacticOracle()
-
-
 def _coeff_trivial(w: Word, ctx) -> bool:
-    t = (ctx or _SYNTACTIC).is_trivial_word(w)
+    """Triviality of a coefficient word in G; without an oracle only the
+    empty word is trivial."""
+    if ctx is None:
+        return not w
+    t = ctx.is_trivial_word(w)
     if t == TriState.UNKNOWN:
-        # A purely syntactic check still recognises the empty word.
-        if not w:
-            return True
         raise UndecidedError(f"cannot decide triviality of {word_str(w)}")
     return t == TriState.YES
 
@@ -356,21 +345,22 @@ def rotate_letters(letters, i: int) -> list:
     return letters[i:] + letters[:i]
 
 
-def _coeffs_equal(u: Word, v: Word, ctx) -> TriState:
-    if u == v:
-        return TriState.YES
-    return (ctx or _SYNTACTIC).is_trivial_word(wmul(u, winv(v)))
-
-
 def letters_equal(a, b, ctx=None) -> TriState:
-    """Equality of two letter-form words, coefficients compared in G."""
+    """Equality of two letter-form words, coefficients compared in G (in
+    the free group when `ctx` is None)."""
     if len(a) != len(b):
         return TriState.NO
     verdict = TriState.YES
     for (l1, s1, c1), (l2, s2, c2) in zip(a, b):
         if l1 != l2 or s1 != s2:
             return TriState.NO
-        eq = _coeffs_equal(c1, c2, ctx)
+        if c1 == c2:
+            continue
+        if ctx is None:
+            same = free_reduce(c1) == free_reduce(c2)
+            eq = TriState.YES if same else TriState.NO
+        else:
+            eq = ctx.equal(c1, c2)
         if eq == TriState.NO:
             return TriState.NO
         if eq == TriState.UNKNOWN:

@@ -18,7 +18,6 @@ from relasph.classify import (
     LengthFourInstance,
     classify,
     case_flags,
-    cyclic_group,
     fixture_order,
     verify_verdict,
 )
@@ -78,8 +77,8 @@ Z2Z4 = CoefficientGroup(("a", "b"), ((("a", 2),), (("b", 4),),
 
 EXAMPLE_A = LengthFourInstance(S3xZ3, (("g", 1),), (("h", 1),), 2, -1)
 EXAMPLE_B = LengthFourInstance(Z3Z3, (("g", 1),), (("h", 1),), 2, -1)
-EXAMPLE_C = LengthFourInstance(cyclic_group(8), (("h", 2),), (("h", 1),), 2, -1)
-EXAMPLE_24 = LengthFourInstance(cyclic_group(4), (("h", 1),), (("h", 2),), 4, -3)
+EXAMPLE_C = LengthFourInstance(cyclic(8, "h"), (("h", 2),), (("h", 1),), 2, -1)
+EXAMPLE_24 = LengthFourInstance(cyclic(4, "h"), (("h", 1),), (("h", 2),), 4, -3)
 BBP_E4 = LengthFourInstance(Z2Z4, (("a", 1),), (("b", 1),), 3, 1)
 
 
@@ -170,7 +169,7 @@ def test_criterion_2_classifier_regression():
         (6, 3, -1, 2, 1), (6, 3, -1, 4, 1),
     ]
     for n, l, k, a, b in open_cells:
-        inst = LengthFourInstance(cyclic_group(n), (("h", a),), (("h", b),), l, k)
+        inst = LengthFourInstance(cyclic(n, "h"), (("h", a),), (("h", b),), l, k)
         v = classify(inst, CAP)
         if v.aspherical != UNKNOWN or v.justification != "table-open":
             failures.append((f"open cell {(n, l, k, a, b)}", v.summary()))
@@ -230,12 +229,12 @@ def _equivalence_battery(make_inst, n_values) -> list:
 
 def test_criterion_3_z_m_equivalence():
     def z_inst(n, l, k):
-        return LengthFourInstance(cyclic_group(n), (("h", 1),), (("h", 1),), l, k)
+        return LengthFourInstance(cyclic(n, "h"), (("h", 1),), (("h", 1),), l, k)
 
     def m_inst(n, l, k):
         if n == 2:
             return None  # h^-1 = h collapses onto the g = h battery
-        return LengthFourInstance(cyclic_group(n), (("h", 1),), (("h", -1),), l, k)
+        return LengthFourInstance(cyclic(n, "h"), (("h", 1),), (("h", -1),), l, k)
 
     failures = _equivalence_battery(z_inst, range(2, 13))
     failures += _equivalence_battery(m_inst, range(3, 13))
@@ -246,10 +245,10 @@ def test_criterion_3_z_m_equivalence():
 def test_criterion_3_j4_j6_equivalence():
     def j4_inst(n, l, k):
         q = n // 4
-        return LengthFourInstance(cyclic_group(n), (("h", 2 * q),), (("h", q),), l, k)
+        return LengthFourInstance(cyclic(n, "h"), (("h", 2 * q),), (("h", q),), l, k)
 
     def j6_inst(n, l, k):
-        return LengthFourInstance(cyclic_group(n), (("h", n // 2),),
+        return LengthFourInstance(cyclic(n, "h"), (("h", n // 2),),
                                   (("h", n // 3),), l, k)
 
     failures = _equivalence_battery(j4_inst, (4, 8, 12))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import random
@@ -8,11 +9,13 @@ import pytest
 
 from relasph.classify import (
     CASE_NAMES,
+    EXCEPTIONAL_NAMES,
+    POWERS,
     LengthFourInstance,
+    _spread_exponent_case,
     case_flags,
     classify,
     classify_presentation,
-    cyclic_group,
     instance_from_presentation,
     verify_verdict,
 )
@@ -24,13 +27,14 @@ from relasph.words import (
     cyclic,
     free_group,
     parse_presentation,
+    parse_word,
 )
 
 YES, NO, UNKNOWN = TriState.YES, TriState.NO, TriState.UNKNOWN
 
 
 def cyc(n, l, k, a, b):
-    return LengthFourInstance(cyclic_group(n), (("h", a),), (("h", b),), l, k)
+    return LengthFourInstance(cyclic(n, "h"), (("h", a),), (("h", b),), l, k)
 
 
 Z2Z4 = CoefficientGroup(("a", "b"), ((("a", 2),), (("b", 4),),
@@ -306,14 +310,20 @@ def test_budget_monotonicity():
     # raising the cap never flips a decided verdict
     samples = [cyc(5, 2, -1, 2, 1), cyc(4, 4, -3, 1, 2), cyc(6, 4, 1, 2, 1),
                cyc(11, 2, -1, 1, 4)]
-    for inst in samples:
-        low = classify(inst, 10 ** 3)
-        high = classify(inst, 10 ** 5)
-        for attr in ("aspherical", "dr"):
-            lv = getattr(low, attr)
-            hv = getattr(high, attr)
-            if lv != UNKNOWN:
-                assert lv == hv, (inst.describe(), attr)
+    chains = [(inst, [classify(inst, cap) for cap in (10 ** 3, 10 ** 5)])
+              for inst in samples]
+    # and the sample of the differential flag test below, cap by cap
+    chains += zip(_sample(), zip(*map(_sample_verdicts, _SAMPLE_CAPS)))
+    compared = 0
+    for inst, per_cap in chains:
+        for j, low in enumerate(per_cap):
+            for high in per_cap[j + 1:]:
+                for attr in ("aspherical", "dr"):
+                    if getattr(low, attr) != UNKNOWN:
+                        compared += 1
+                        assert getattr(low, attr) == getattr(high, attr), \
+                            (inst.describe(), attr)
+    assert compared > 1000
 
 
 def test_fabricated_verdict_is_fatal():
@@ -447,3 +457,216 @@ def test_classify_asks_each_equality_once(monkeypatch, inst, rule):
     verdict = classify(inst, 1000)
     assert verdict.justification == rule
     assert len(calls) == len(set(calls)) == 13
+
+
+# ---------------------------------------------------------------------------
+# the case flags before each g <-> h mirrored condition was stated once over
+# a pair of sides, frozen as they were, for the differential test below
+# ---------------------------------------------------------------------------
+
+def _frozen_case_flags(inst, cap):
+    """(values, og, oh, equalities, blockers) as the classifier computed
+    them with both halves of every mirrored condition written out."""
+    from relasph.classify import (
+        order_finite, order_in_open_range, order_is, tri_and, tri_bool,
+        tri_not, tri_or)
+    from relasph.words import mu, winv, wmul
+    inst = inst.normalized()
+    ctx = coset.context_for(inst.G, cap)
+    A, B = inst.g, inst.h
+    l, k = inst.l, inst.k
+    m = mu(ctx, A, B)
+    og, oh, ogh = m.orders
+    A2, B2 = wmul(A, A), wmul(B, B)
+    A3, B3 = wmul(A2, A), wmul(B2, B)
+    eqs = {
+        "g=h": ctx.equal(A, B),
+        "g=h^-1": ctx.equal(A, winv(B)),
+        "g=h^2": ctx.equal(A, B2),
+        "h=g^2": ctx.equal(B, A2),
+        "g=h^-2": ctx.equal(A, winv(B2)),
+        "h=g^-2": ctx.equal(B, winv(A2)),
+        "g=h^3": ctx.equal(A, B3),
+        "h=g^3": ctx.equal(B, A3),
+        "g=h^-3": ctx.equal(A, winv(B3)),
+        "h=g^-3": ctx.equal(B, winv(A3)),
+        "g=h^4": ctx.equal(A, wmul(B2, B2)),
+        "h=g^4": ctx.equal(B, wmul(A2, A2)),
+        "gh=hg": ctx.equal(wmul(A, B), wmul(B, A)),
+    }
+    if m.value > 1 and not m.lower_bound_only:
+        p_mu = YES
+    elif m.value > 1 and m.lower_bound_only:
+        p_mu = YES
+    elif not m.lower_bound_only:
+        p_mu = NO
+    else:
+        p_mu = UNKNOWN
+    flag_P = tri_and(p_mu, tri_not(eqs["g=h"]))
+
+    def orders_are(na, nb):
+        return tri_or(tri_and(order_is(og, na), order_is(oh, nb)),
+                      tri_and(order_is(og, nb), order_is(oh, na)))
+
+    values = {
+        "P": flag_P,
+        "Z": tri_and(eqs["g=h"], order_finite(og)),
+        "M": tri_and(eqs["g=h^-1"], order_finite(og)),
+        "J4": tri_or(tri_and(eqs["g=h^2"], order_is(oh, 4)),
+                     tri_and(eqs["h=g^2"], order_is(og, 4))),
+        "J6": tri_and(orders_are(2, 3), eqs["gh=hg"]),
+        "K5": tri_or(tri_and(eqs["g=h^2"], order_is(oh, 5)),
+                     tri_and(eqs["h=g^2"], order_is(og, 5))),
+        "K6+": tri_or(tri_and(eqs["g=h^2"], order_is(oh, 6)),
+                      tri_and(eqs["h=g^2"], order_is(og, 6))),
+        "K6-": tri_or(tri_and(eqs["g=h^-2"], order_is(oh, 6)),
+                      tri_and(eqs["h=g^-2"], order_is(og, 6))),
+        "L6": tri_or(tri_and(eqs["g=h^3"], order_is(oh, 6)),
+                     tri_and(eqs["h=g^3"], order_is(og, 6))),
+    }
+
+    def subgroup_is_2_x(n2):
+        pre = tri_and(orders_are(2, n2), eqs["gh=hg"])
+        if pre == NO:
+            return NO
+        return tri_and(pre, order_is(ctx.subgroup_order([A, B]), 2 * n2))
+
+    def aae_e():
+        small = tri_and(
+            eqs["gh=hg"],
+            tri_or(order_is(og, 2), order_is(og, 4)),
+            tri_or(order_is(oh, 2), order_is(oh, 4)))
+        if small == NO:
+            return NO
+        return tri_and(small, order_is(ctx.subgroup_order([A, B]), 8))
+
+    values.update({
+        "BBP-E4": subgroup_is_2_x(4),
+        "BBP-E5": subgroup_is_2_x(5),
+        "HM-E": tri_or(tri_and(eqs["g=h^2"], order_in_open_range(oh, 6)),
+                       tri_and(eqs["h=g^2"], order_in_open_range(og, 6))),
+        "AEJ-E": tri_or(
+            tri_and(eqs["g=h^2"], order_in_open_range(oh, 6),
+                    tri_bool(l < k < 2 * l)),
+            tri_and(eqs["h=g^2"], order_in_open_range(og, 6),
+                    tri_bool(k < l < 2 * k)),
+            tri_and(eqs["h=g^2"], order_in_open_range(og, 6),
+                    tri_bool(l < k < 2 * l)),
+            tri_and(eqs["g=h^2"], order_in_open_range(oh, 6),
+                    tri_bool(k < l < 2 * k))),
+        "E-E1": tri_or(
+            tri_and(order_is(og, 9), order_is(oh, 3), eqs["h=g^3"]),
+            tri_and(order_is(oh, 9), order_is(og, 3), eqs["g=h^3"])),
+        "E-E2": tri_or(
+            tri_and(order_is(og, 9), order_is(oh, 3), eqs["h=g^-3"]),
+            tri_and(order_is(oh, 9), order_is(og, 3), eqs["g=h^-3"])),
+        "E-E3": tri_or(
+            tri_and(order_is(og, 8), order_is(oh, 4), eqs["h=g^2"]),
+            tri_and(order_is(oh, 8), order_is(og, 4), eqs["g=h^2"])),
+        "AAE-E": aae_e(),
+        "AAE-E4": tri_or(tri_and(order_is(oh, 8), eqs["g=h^4"]),
+                         tri_and(order_is(og, 8), eqs["h=g^4"])),
+        "D-E1": tri_or(tri_and(eqs["g=h^2"], order_in_open_range(oh, 3)),
+                       tri_and(eqs["h=g^2"], order_in_open_range(og, 3))),
+        "D-E2": tri_or(tri_and(eqs["g=h^-2"], order_in_open_range(oh, 3)),
+                       tri_and(eqs["h=g^-2"], order_in_open_range(og, 3))),
+        "D-E4": tri_or(tri_and(eqs["g=h^3"], order_is(oh, 9)),
+                       tri_and(eqs["h=g^3"], order_is(og, 9))),
+    })
+    blockers = tuple(sorted(n for n, v in values.items() if v == UNKNOWN))
+    return values, og, oh, eqs, blockers
+
+
+def _frozen_spread_exponent_case(values, og, oh, eqs, l, k):
+    from relasph.classify import order_at_least, tri_and, tri_not, tri_or
+    if not (k < 0 and l > 2 * (-k)):
+        return NO
+    if values["Z"] != NO or values["M"] != NO:
+        return UNKNOWN if (values["Z"] == UNKNOWN
+                           or values["M"] == UNKNOWN) else NO
+    ne = lambda name: tri_not(eqs[name])
+    c1 = tri_and(order_at_least(og, 6), order_at_least(oh, 3),
+                 ne("h=g^2"), ne("h=g^-2"), ne("h=g^-3"), ne("g=h^-2"))
+    c2 = tri_and(order_at_least(og, 3), order_at_least(oh, 6),
+                 ne("g=h^2"), ne("g=h^-2"), ne("g=h^-3"), ne("h=g^-2"))
+    c3 = tri_and(order_at_least(og, 4), order_at_least(oh, 4),
+                 ne("g=h^-2"), ne("h=g^-2"))
+    return tri_or(c1, c2, c3)
+
+
+def _equalities(flags):
+    """The 13 equalities a CaseFlags holds, under the frozen copy's keys."""
+    gh, hg = flags.sides
+    eqs = {"g=h": flags.equal, "g=h^-1": flags.inverse,
+           "gh=hg": flags.commute}
+    for p in POWERS:
+        eqs[f"g=h^{p}"] = gh.power[p]
+        eqs[f"h=g^{p}"] = hg.power[p]
+    return eqs
+
+
+# Directly built instances over the grid's three non-cyclic groups (no
+# relator reduction, so the small caps reach case_flags), at caps where
+# their regular tables do and do not complete.
+_SAMPLE_CAPS = (4, 8, 12, 1000)
+# sha256 of the newline-joined verdict lines of the sample, cap by cap,
+# recorded from the classifier with both halves of every mirrored
+# condition written out
+_SAMPLE_DIGEST = "d1c0d5aba6fb67fe38a8a43a2b63b881b6c11eea02f653b10a536c907ac233ff"
+
+
+@functools.lru_cache(maxsize=None)
+def _sample():
+    instances = []
+    for group, words in _GRID_GROUPS:
+        G = parse_presentation(f"{group}; x; rel x").coeff
+        for l, k in _GRID_EXPONENTS:
+            for gw in words:
+                for hw in words:
+                    instances.append(LengthFourInstance(
+                        G, parse_word(gw), parse_word(hw), l, k))
+    return random.Random(11).sample(instances, 1500)
+
+
+@functools.lru_cache(maxsize=None)
+def _sample_verdicts(cap):
+    return [classify(inst, cap) for inst in _sample()]
+
+
+def _verdict_line(v):
+    return (f"{v.summary()} | {v.detail} | hits={','.join(v.case_hits)}"
+            f" | blockers={';'.join(v.blockers)}")
+
+
+def _assert_flags_match_the_frozen_copy(inst, cap):
+    flags = case_flags(inst, cap)
+    values, og, oh, eqs, blockers = _frozen_case_flags(inst, cap)
+    where = (inst.describe(), inst.G.relators, cap)
+    assert flags.values == values, where
+    assert flags.blockers == blockers, where
+    assert _equalities(flags) == eqs, where
+    assert (flags.og, flags.oh) == (og, oh), where
+    norm = inst.normalized()
+    assert _spread_exponent_case(flags, norm.l, norm.k) == \
+        _frozen_spread_exponent_case(values, og, oh, eqs, norm.l, norm.k), where
+    return values
+
+
+def test_case_flags_match_the_frozen_mirrored_flags():
+    seen = set()  # (flag, value) pairs met
+    lines = []
+    for cap in _SAMPLE_CAPS:
+        for inst, verdict in zip(_sample(), _sample_verdicts(cap)):
+            seen.update(_assert_flags_match_the_frozen_copy(inst, cap).items())
+            lines.append(_verdict_line(verdict))
+    # the cyclic groups, where the K and L cases and E-E1/2/3 hold
+    cyclic_grid = [(n, l, k, a, b) for n in range(2, 13)
+                   for l, k in _GRID_EXPONENTS
+                   for a in range(1, n) for b in range(1, n)]
+    for args in random.Random(12).sample(cyclic_grid, 3000):
+        seen.update(_assert_flags_match_the_frozen_copy(cyc(*args), 1000).items())
+    # every flag is met decided both ways and undecided
+    for name in (*CASE_NAMES, *EXCEPTIONAL_NAMES):
+        assert {(name, v) for v in (YES, NO, UNKNOWN)} <= seen, name
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _SAMPLE_DIGEST

@@ -69,6 +69,8 @@ _NO_X = "group <g | g^2>; x; rel g"
     (None, ("classify", "--cyclic", "5", "--l", "0", "--k", "1", "--g", "1",
             "--h", "2")),
     (None, ("classify", "--cyclic", "5", "--l", "2")),
+    (None, ("classify", "--cyclic", "0", "--l", "2", "--k", "1", "--g", "1",
+            "--h", "1")),
     (None, ("classify",)),
     ("group <h | h^5>; x; rel x^2 h^2 x^-1 h",
      ("order", "{file}", "--subgroup", "h^0")),
@@ -76,7 +78,7 @@ _NO_X = "group <g | g^2>; x; rel g"
      ("order", "{file}", "--subgroup", "h^+1")),
 ], ids=("non-ascii-name", "unicode-digit", "not-utf8", "stargraph-no-x",
         "search-no-x", "picture-override-lacks-h", "picture-relator-no-x",
-        "l-zero", "cyclic-incomplete", "no-input", "subgroup-zero-exponent",
+        "l-zero", "cyclic-incomplete", "cyclic-zero", "no-input", "subgroup-zero-exponent",
         "subgroup-plus-sign"))
 def test_malformed_input_exits_2(fixtures_dir, tmp_path, capsys, text, argv):
     f = tmp_path / "p.txt"

@@ -314,11 +314,39 @@ def test_free_group_oracle():
     assert ctx.group_order().is_infinite
 
 
+def _elements(ctx, gens):
+    """One word for each element of a finite group, breadth first."""
+    reps = [()]
+    for w in reps:
+        for g in gens:
+            c = wmul(w, ((g, 1),))
+            if all(ctx.equal(c, r) == TriState.NO for r in reps):
+                reps.append(c)
+    return reps
+
+
 def test_finite_group_conjugacy():
     ctx = GroupContext(S3, 1000)
     # all order-2 elements of S3 are conjugate
     assert ctx.conjugate((("a", 1),), (("b", 1), ("a", 1), ("b", -1))) == TriState.YES
     assert ctx.conjugate((("a", 1),), (("b", 1),)) == TriState.NO
+    # every pair of elements against conjugation by every element
+    Z3xZ3 = P(["a", "b"], [[("a", 3)], [("b", 3)],
+                           [("a", 1), ("b", 1), ("a", -1), ("b", -1)]])
+    # (pairs: the sum of |class|^2, 1 + 4 + 9 in S3 and 9 singletons)
+    for pres, order, pairs in ((S3, 6, 14), (Z3xZ3, 9, 9)):
+        ctx = GroupContext(pres, 1000)
+        elements = _elements(ctx, pres.generators)
+        assert len(elements) == order
+        conjugate_pairs = 0
+        for u in elements:
+            for v in elements:
+                want = any(ctx.equal(wmul(winv(x), u, x), v) == TriState.YES
+                           for x in elements)
+                conjugate_pairs += want
+                assert ctx.conjugate(u, v) == (TriState.YES if want
+                                               else TriState.NO), (u, v)
+        assert conjugate_pairs == pairs
 
 
 def test_x_has_order_four_in_the_isomorphism_example():

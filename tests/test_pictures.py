@@ -25,8 +25,6 @@ from relasph.pictures import (
     standard_angles,
     trace_regions,
     validate_picture,
-    apply_distribution,
-    TransferRule,
 )
 from relasph.words import TriState, parse_presentation
 
@@ -220,13 +218,6 @@ def test_tetrahedral_fixture_is_valid():
     assert sorted(r.degree for r in regions) == [3, 3, 3, 3]
     report = validate_picture(pic, pres, ctx)
     assert report.ok, report.problems
-
-
-def test_distribution_bookkeeping():
-    per = {0: Fraction(1), 1: Fraction(2), 2: Fraction(1)}
-    moved = apply_distribution(per, [TransferRule(1, 0, Fraction(1, 2))])
-    assert moved[0] == Fraction(3, 2) and moved[1] == Fraction(3, 2)
-    assert sum(moved.values()) == sum(per.values())
 
 
 # ---------------------------------------------------------------------------
