@@ -26,7 +26,8 @@ only from theorems that actually prove reducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 from .coset import (
     DEFAULT_CAP,
@@ -89,35 +90,31 @@ def tri_bool(b: bool) -> TriState:
     return YES if b else NO
 
 
+# The four order tests read `kind` directly: they run some forty times for
+# each new pair of coefficients, and the properties cost a call each.
 def order_is(o: OrderResult, n: int) -> TriState:
-    if o.is_finite:
-        return tri_bool(o.value == n)
-    if o.is_infinite:
-        return NO
-    return UNKNOWN
+    if o.kind == "finite":
+        return YES if o.value == n else NO
+    return UNKNOWN if o.kind == "unknown" else NO
 
 
 def order_at_least(o: OrderResult, n: int) -> TriState:
-    if o.is_finite:
-        return tri_bool(o.value >= n)
-    if o.is_infinite:
-        return YES
-    return UNKNOWN
+    if o.kind == "finite":
+        return YES if o.value >= n else NO
+    return UNKNOWN if o.kind == "unknown" else YES
 
 
 def order_finite(o: OrderResult) -> TriState:
-    if o.is_finite:
+    if o.kind == "finite":
         return YES
-    if o.is_infinite:
-        return NO
-    return UNKNOWN
+    return UNKNOWN if o.kind == "unknown" else NO
 
 
 def order_in_open_range(o: OrderResult, low: int) -> TriState:
     """low < order < infinity"""
-    if o.is_finite:
-        return tri_bool(o.value > low)
-    return NO if o.is_infinite else UNKNOWN
+    if o.kind == "finite":
+        return YES if o.value > low else NO
+    return UNKNOWN if o.kind == "unknown" else NO
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +201,22 @@ def instance_from_presentation(p: RelativePresentation,
 POWERS = (2, -2, 3, -3, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Side:
-    power: dict  # p -> TriState of a = b^p, for p in POWERS
+    power: MappingProxyType  # p -> TriState of a = b^p, for p in POWERS
     oa: OrderResult  # |a|
     ob: OrderResult  # |b|
+
+    def __hash__(self):
+        return hash((*self.power.values(), self.oa, self.ob))
 
 
 def _side(ctx, a: Word, b: Word, oa: OrderResult, ob: OrderResult) -> Side:
     b2 = wmul(b, b)
     b3 = wmul(b2, b)
     words = {2: b2, -2: winv(b2), 3: b3, -3: winv(b3), 4: wmul(b2, b2)}
-    return Side({p: ctx.equal(a, words[p]) for p in POWERS}, oa, ob)
+    return Side(MappingProxyType({p: ctx.equal(a, words[p]) for p in POWERS}),
+                oa, ob)
 
 
 @dataclass(frozen=True)
@@ -243,20 +244,40 @@ class CaseFlags:
         return tri_or(*map(pred, self.sides))
 
 
-def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
-    """Evaluate every named case and exceptional family for the instance.
+# every flag but AEJ-E, the one flag that reads l and k
+PAIR_NAMES = tuple(n for n in (*CASE_NAMES, *EXCEPTIONAL_NAMES) if n != "AEJ-E")
 
-    Flags may overlap, and each is tri-state: an order or word-problem
-    query that exhausts its budget leaves the flag undecided rather than
-    guessed.
+
+class Pair(NamedTuple):
+    """What the classifier asks the oracle about a normalized pair (g, h)."""
+    mu: MuValue  # its orders are |g|, |h|, |g h^-1|
+    sides: tuple  # Side (g, h), Side (h, g)
+    equal: TriState  # g = h
+    inverse: TriState  # g = h^-1
+    commute: TriState  # g h = h g
+    values: tuple  # TriState of each flag in PAIR_NAMES
+
+
+def pair_facts(ctx, A: Word, B: Word) -> Pair:
+    """The Pair for (g, h) = (A, B), asked once per context.
+
+    `ctx.pairs` keeps it under the key (A, B).  The same dict interns the
+    key's words, the flag values and the record, each under itself, so
+    that equal ones are stored once (most pairs of a group share a
+    record); a word, a pair of words, a tuple of flag values and a Pair
+    never compare equal to one another.  Every part of a record is
+    immutable, so verdicts may share them.
     """
-    inst = inst.normalized()
-    ctx = context_for(inst.G, cap)
-    A, B = inst.g, inst.h
-    l, k = inst.l, inst.k
+    pairs = ctx.pairs
+    rec = pairs.get((A, B))
+    if rec is not None:
+        return rec
+
+    def intern(x):
+        return pairs.setdefault(x, x)
 
     m = mu(ctx, A, B)
-    og, oh, ogh = m.orders
+    og, oh, _ = m.orders
     sides = (_side(ctx, A, B, og, oh), _side(ctx, B, A, oh, og))
     equal = ctx.equal(A, B)
     inverse = ctx.equal(A, winv(B))
@@ -294,8 +315,6 @@ def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
         "P": tri_and(p_mu, tri_not(equal)),
         "Z": tri_and(equal, order_finite(og)),
         "M": tri_and(inverse, order_finite(og)),
-        "AEJ-E": tri_and(values["HM-E"],
-                         tri_bool(l < k < 2 * l or k < l < 2 * k)),
         # gp{g,h} = Z2 + Z4 with no constraint tying g, h to each other:
         # an abelian order-8 group on two generators of exponent <= 4
         "AAE-E": tri_and(commute,
@@ -306,9 +325,29 @@ def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
         if values[name] != NO:
             values[name] = tri_and(values[name],
                                    order_is(ctx.subgroup_order([A, B]), n))
+    values = intern(tuple(values[n] for n in PAIR_NAMES))
+    rec = pairs[intern(A), intern(B)] = intern(
+        Pair(m, sides, equal, inverse, commute, values))
+    return rec
+
+
+def case_flags(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseFlags:
+    """Evaluate every named case and exceptional family for the instance.
+
+    Flags may overlap, and each is tri-state: an order or word-problem
+    query that exhausts its budget leaves the flag undecided rather than
+    guessed.  Only AEJ-E reads (l, k); every other flag comes from the
+    pair's record (`pair_facts`).
+    """
+    inst = inst.normalized()
+    l, k = inst.l, inst.k
+    pair = pair_facts(context_for(inst.G, cap), inst.g, inst.h)
+    values = dict(zip(PAIR_NAMES, pair.values))
+    values["AEJ-E"] = tri_and(values["HM-E"],
+                              tri_bool(l < k < 2 * l or k < l < 2 * k))
     blockers = tuple(sorted(n for n, v in values.items() if v == UNKNOWN))
-    return CaseFlags(values, og, oh, ogh, m, sides, equal, inverse, commute,
-                     blockers)
+    return CaseFlags(values, *pair.mu.orders, pair.mu, pair.sides, pair.equal,
+                     pair.inverse, pair.commute, blockers)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +480,14 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
     # ---- l = k: reducible iff g = h or |g^-1 h| infinite; aspherical iff
     # the order is infinite (g = h makes the relator a proper power)
     if k == l:
-        eq = ctx.equal(A, B)
+        pair = pair_facts(ctx, A, B)
+        eq = pair.equal
         if eq == YES:
             return _verdict(YES, NO, "relator-proper-power",
                             "relator is (x^l g)^2, a proper power; "
                             "reducible by the equal-exponent rule")
-        ogh_inv = ctx.element_order(wmul(winv(A), B))
+        # g^-1 h is conjugate to (g h^-1)^-1, so |g^-1 h| = |g h^-1|
+        ogh_inv = pair.mu.orders[2]
         if eq == UNKNOWN and not ogh_inv.is_infinite:
             return _verdict(UNKNOWN, UNKNOWN, "open-blocked",
                             "g = h undecided within budget",
@@ -464,8 +505,7 @@ def classify(inst: LengthFourInstance, cap: int = DEFAULT_CAP) -> CaseVerdict:
 
     # ---- l = -k: aspherical iff |g| = |h| = infinity
     if k == -l:
-        og = ctx.element_order(A)
-        oh = ctx.element_order(B)
+        og, oh, _ = pair_facts(ctx, A, B).mu.orders
         if og.is_infinite and oh.is_infinite:
             return _verdict(YES, YES, "opposite-exponents",
                             "|g| = |h| = infinity: reducible and aspherical")
@@ -722,6 +762,12 @@ def classify_presentation(p: RelativePresentation, cap: int = DEFAULT_CAP):
 # verification
 # ---------------------------------------------------------------------------
 
+# Coset budget of the order-vs-G check.  An aspherical defined group that
+# is finite has exactly the order of G, and a cap hit proves nothing either
+# way, so a larger budget only spends longer to skip the check.
+ORDER_VS_G_CAP = 100_000
+
+
 @dataclass(frozen=True)
 class VerifyCheck:
     name: str
@@ -747,7 +793,8 @@ def verify_verdict(inst: Optional[LengthFourInstance], verdict: CaseVerdict,
 
     aspherical=yes demands that a finite defined group have exactly the
     order of G (the natural map must be injective with every finite
-    subgroup conjugate into G); a finite-order justification for
+    subgroup conjugate into G); that enumeration stops at
+    min(cap, ORDER_VS_G_CAP) cosets.  A finite-order justification for
     aspherical=no must reproduce the claimed order, computed by
     `order_via_cyclic_subgroup` over G's first generator.  `inst` is read
     only for those two claims, so an open verdict may pass None.
@@ -758,11 +805,12 @@ def verify_verdict(inst: Optional[LengthFourInstance], verdict: CaseVerdict,
             "internal-consistency", "fatal",
             "aspherical verdicts may not assert non-reducibility"))
     if verdict.aspherical == YES:
-        t = enumerate_cosets(inst.lifted(), [], cap)
+        budget = min(cap, ORDER_VS_G_CAP)
+        t = enumerate_cosets(inst.lifted(), [], budget)
         if not t.complete:
             checks.append(VerifyCheck(
                 "order-vs-G", "skipped",
-                f"defined group not enumerated within {cap} cosets"))
+                f"defined group not enumerated within {budget} cosets"))
         else:
             total = context_for(inst.G, cap).group_order()
             if total.is_finite and t.n == total.value:

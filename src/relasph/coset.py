@@ -814,6 +814,9 @@ class GroupContext:
         self.cap = cap
         self._regular: Optional[CosetTable] = None
         self._regular_tried = False
+        # classify.pair_facts' records, one per pair (g, h) asked about,
+        # so they live exactly as long as this group and cap
+        self.pairs: dict = {}
 
     # -- normal forms for free products of cyclics --------------------------
 

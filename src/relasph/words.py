@@ -26,6 +26,10 @@ class TriState(Enum):
     NO = "no"
     UNKNOWN = "unknown"
 
+    # members are singletons, so identity is equality; Enum's own hash
+    # hashes the name in Python, which interning flag tuples would pay for
+    __hash__ = object.__hash__
+
     def __bool__(self):  # pragma: no cover - guard against accidental truthiness
         raise TypeError("TriState is not a boolean; compare explicitly")
 
@@ -218,16 +222,6 @@ def csyl(word: Word) -> tuple:
 
 def fpw(*syllables) -> FreeProductWord:
     return FreeProductWord(tuple(syllables))
-
-
-def fpw_invert(w: FreeProductWord) -> FreeProductWord:
-    out = []
-    for s in reversed(w.syllables):
-        if s[0] == X:
-            out.append((X, s[1], -s[2]))
-        else:
-            out.append((C, winv(s[1])))
-    return FreeProductWord(tuple(out))
 
 
 def _coeff_trivial(w: Word, ctx) -> bool:
@@ -489,14 +483,14 @@ def mu(ctx, g: Word, h: Word) -> MuValue:
     """
     orders = (ctx.element_order(g), ctx.element_order(h),
               ctx.element_order(wmul(g, winv(h))))
-    total = Fraction(0)
+    num, den = 0, 1
     lower_only = False
     for o in orders:
         if o.is_finite:
-            total += Fraction(1, o.value)
+            num, den = num * o.value + den, den * o.value
         elif o.is_unknown:
             lower_only = True
-    return MuValue(total, lower_only, orders)
+    return MuValue(Fraction(num, den), lower_only, orders)
 
 
 # ---------------------------------------------------------------------------

@@ -298,12 +298,42 @@ def test_uncovered_exponents_open():
     assert v.aspherical == UNKNOWN
 
 
-def test_normalization_invariance():
-    for args, norm_args in ((((5, 1, 3, 1, 2)), (5, 3, 1, 2, 1)),
-                            (((5, 1, -2, 1, 2)), (5, 2, -1, 2, 1))):
-        a = classify(cyc(*args), 10 ** 4)
-        b = classify(cyc(*norm_args), 10 ** 4)
-        assert a.aspherical == b.aspherical and a.dr == b.dr
+def _grid_sample(rng, size):
+    """`size` instances drawn from the grid: Z_n with n <= 12 and the three
+    non-cyclic groups, l and |k| at most 6."""
+    grid = [cyc(n, l, k, a, b) for n in range(2, 13)
+            for l, k in _GRID_EXPONENTS
+            for a in range(1, n) for b in range(1, n)]
+    for group, words in _GRID_GROUPS:
+        G = parse_presentation(f"{group}; x; rel x").coeff
+        words = [parse_word(w) for w in words]
+        grid += [LengthFourInstance(G, g, h, l, k) for l, k in _GRID_EXPONENTS
+                 for g in words for h in words]
+    return rng.sample(grid, size)
+
+
+def _rewritten(inst):
+    """The rotation (l,k,g,h) -> (k,l,h,g) for k > 0, else the inversion
+    substitution (l,k,g,h) -> (-k,-l,h,g)."""
+    l, k = (inst.k, inst.l) if inst.k > 0 else (-inst.k, -inst.l)
+    return LengthFourInstance(inst.G, inst.h, inst.g, l, k)
+
+
+def test_normalization_invariance(monkeypatch):
+    # each instance and its rewriting give one verdict line, whichever of
+    # the two is classified first, with the pair's record cold or warm
+    sample = _grid_sample(random.Random(14), 1200)
+    runs = []
+    for order in (1, -1):
+        monkeypatch.setattr(coset, "_context_cache", {})
+        lines = []
+        for inst in sample:
+            both = (inst, _rewritten(inst))[::order]
+            lines.append([_verdict_line(classify(i, 1000)) for i in both][::order])
+        runs.append(lines)
+    assert runs[0] == runs[1]
+    for (line, rewritten_line), inst in zip(runs[0], sample):
+        assert line == rewritten_line, inst.describe()
 
 
 def test_budget_monotonicity():
@@ -424,16 +454,28 @@ def test_classify_presentation_gives_open_verdict_for_unreduced_relator():
         assert unreduced > 0, cap
 
 
-def test_case_flags_asks_each_order_once(monkeypatch):
-    # |g|, |h| and |g h^-1| are each asked once, all through mu
+@pytest.fixture
+def fresh_contexts(monkeypatch):
+    """An empty context cache, so every (g, h) pair starts cold."""
+    monkeypatch.setattr(coset, "_context_cache", {})
+
+
+def _counting(monkeypatch, method):
+    """Record every call of GroupContext.<method> from here on."""
     calls = []
-    real = coset.GroupContext.element_order
+    real = getattr(coset.GroupContext, method)
 
-    def counting(self, w):
-        calls.append(w)
-        return real(self, w)
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
 
-    monkeypatch.setattr(coset.GroupContext, "element_order", counting)
+    monkeypatch.setattr(coset.GroupContext, method, counting)
+    return calls
+
+
+def test_case_flags_asks_each_order_once(monkeypatch, fresh_contexts):
+    # |g|, |h| and |g h^-1| are each asked once, all through mu
+    calls = _counting(monkeypatch, "element_order")
     flags = case_flags(cyc(5, 2, -1, 2, 1), 1000)
     assert len(calls) == 3
     assert (flags.og, flags.oh, flags.ogh) == flags.mu.orders
@@ -443,20 +485,34 @@ def test_case_flags_asks_each_order_once(monkeypatch):
     (cyc(8, 1, -2, 1, 3), "lk-2-neg1"),
     (cyc(7, 1, -6, 1, 2), "spread-exponents"),
 ])
-def test_classify_asks_each_equality_once(monkeypatch, inst, rule):
+def test_classify_asks_each_equality_once(monkeypatch, fresh_contexts, inst,
+                                          rule):
     # the (2,-1) obstructions and the spread-exponent families read the
     # equalities case_flags decided instead of asking the oracle again
-    calls = []
-    real = coset.GroupContext.equal
-
-    def counting(self, u, v):
-        calls.append((u, v))
-        return real(self, u, v)
-
-    monkeypatch.setattr(coset.GroupContext, "equal", counting)
+    calls = _counting(monkeypatch, "equal")
     verdict = classify(inst, 1000)
     assert verdict.justification == rule
     assert len(calls) == len(set(calls)) == 13
+    # and a second classification of the pair asks none of them again
+    calls.clear()
+    assert classify(inst, 1000) == verdict
+    assert calls == []
+
+
+def test_pair_records_change_no_verdict(monkeypatch, fresh_contexts):
+    # a seeded grid sample classified with fresh contexts, again in reverse
+    # order from the contexts' pair records alone, and once more in reverse
+    # order with fresh contexts, where each pair is met first at another
+    # instance
+    sample = _grid_sample(random.Random(13), 1500)
+    first = [_verdict_line(classify(inst, 1000)) for inst in sample]
+    equal = _counting(monkeypatch, "equal")
+    orders = _counting(monkeypatch, "element_order")
+    warm = [_verdict_line(classify(inst, 1000)) for inst in reversed(sample)]
+    assert equal == [] and orders == []
+    monkeypatch.setattr(coset, "_context_cache", {})
+    cold = [_verdict_line(classify(inst, 1000)) for inst in reversed(sample)]
+    assert warm[::-1] == first and cold == warm
 
 
 # ---------------------------------------------------------------------------

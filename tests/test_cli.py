@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import relasph
+from relasph.classify import ORDER_VS_G_CAP
 from relasph.cli import main
 from relasph.coset import MAX_CAP
 
@@ -34,6 +36,19 @@ def test_classify_verify(capsys):
     assert rc == 0
     assert "NonAspherical" in out and "|G(Q)|=55" in out
     assert "reproduces order 55" in out
+
+
+def test_classify_verify_order_vs_g_has_its_own_budget(monkeypatch, capsys):
+    # at the default cap the order-vs-G enumeration of this aspherical
+    # verdict ran for minutes to reach the cap and skip the check
+    monkeypatch.delenv("ASPH_COSET_CAP", raising=False)
+    start = time.monotonic()
+    rc, out, _ = run(capsys, "classify", "--cyclic", "7", "--l", "2",
+                     "--k", "1", "--g", "1", "--h", "3", "--verify")
+    assert time.monotonic() - start < 20
+    assert rc == 0 and out.startswith("Aspherical")
+    assert (f"[skipped] order-vs-G: defined group not enumerated within "
+            f"{ORDER_VS_G_CAP} cosets") in out
 
 
 def test_classify_json_is_deterministic(capsys):
