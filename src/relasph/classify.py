@@ -321,10 +321,12 @@ def pair_facts(ctx, A: Word, B: Word) -> Pair:
                          tri_or(order_is(og, 2), order_is(og, 4)),
                          tri_or(order_is(oh, 2), order_is(oh, 4))),
     })
+    sub = None  # |gp{g,h}|, asked once and only if some flag needs it
     for name, n in (("BBP-E4", 8), ("BBP-E5", 10), ("AAE-E", 8)):
         if values[name] != NO:
-            values[name] = tri_and(values[name],
-                                   order_is(ctx.subgroup_order([A, B]), n))
+            if sub is None:
+                sub = ctx.subgroup_order([A, B])
+            values[name] = tri_and(values[name], order_is(sub, n))
     values = intern(tuple(values[n] for n in PAIR_NAMES))
     rec = pairs[intern(A), intern(B)] = intern(
         Pair(m, sides, equal, inverse, commute, values))

@@ -19,6 +19,14 @@ boundary of a conventional drawing.
 Region labels are products of corner labels; triviality of a label does
 not depend on the traversal direction, so faces are reported in trace
 order with triviality decided by the coefficient-group oracle.
+
+One dipole reduction step (`relasph picture --reduce`) costs one
+structure pass over the map plus a region walk that stops at the first
+dipole and forms no label (`find_dipole`); `cancel_dipole` then passes
+once over the arc ends, to reject an end attached twice, once over the
+arcs, walking only the spliced chains, and once over the surviving
+boundaries to renumber them.  The walk exists once, in `_walk`;
+`trace_regions` runs it to the end.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product, repeat
+from operator import itemgetter
 from typing import Optional
 
 from .words import (
@@ -93,6 +103,9 @@ class Dipole:
 
 OUTER_DISC = -1
 
+_KIND = itemgetter(0)
+_END = itemgetter(1, 2)
+
 
 def _end_locations(pic: Picture) -> dict:
     """(arc, end) -> (disc index or OUTER_DISC, boundary position)."""
@@ -113,6 +126,29 @@ def _end_locations(pic: Picture) -> dict:
 
 
 def _check_structure(pic: Picture) -> dict:
+    """_end_locations of a well-formed map, or ValueError naming its first
+    fault in a fixed order.  A map whose discs each start at an arc end and
+    alternate, and whose ends are exactly the arcs' two ends once each, is
+    accepted from whole-map counts; any other goes through the itemised
+    checks, which find the fault or accept the map."""
+    bounds = [disc.boundary for disc in pic.discs]
+    lengths = list(map(len, bounds))
+    items = list(chain.from_iterable(bounds))
+    outer = pic.outer
+    if (0 not in lengths and not any(n & 1 for n in lengths)
+            and list(map(_KIND, items)) == [ARC, CORNER] * (len(items) // 2)
+            and list(map(_KIND, outer)) == [ARC] * len(outer)):
+        # each disc's arc ends sit at its even positions
+        locs = dict(zip(map(_END, items[0::2]),
+                        [(di, pos) for di, n in enumerate(lengths)
+                         for pos in range(0, n, 2)]))
+        locs.update(zip(map(_END, outer),
+                        zip(repeat(OUTER_DISC), range(len(outer)))))
+        n_arcs = len(pic.arcs)
+        if (len(items) // 2 + len(outer) == len(locs) == 2 * n_arcs
+                and all(map(locs.__contains__,
+                            product(range(n_arcs), (0, 1))))):
+            return locs
     locs = _end_locations(pic)
     for ai, end in locs:
         if end not in (0, 1) or not 0 <= ai < len(pic.arcs):
@@ -139,8 +175,40 @@ def _check_structure(pic: Picture) -> dict:
     return locs
 
 
-def _boundary_rotation(pic: Picture, disc: int) -> tuple:
-    return pic.outer if disc == OUTER_DISC else pic.discs[disc].boundary
+def _walk(pic: Picture, locs: dict):
+    """The faces of a checked map, one at a time, as (groups, touches).
+
+    Faces are traced from each untraced dart in turn, arcs by id and
+    direction 0 before 1; dart (arc, d) leaves by end d and arrives by the
+    other.  Each group is (dart, corners): the corners met walking
+    clockwise from the arrival end to the departure end, which on a disc
+    (alternating, by the check) is one corner and on the boundary circle
+    none.  `touches` says whether the face meets the boundary circle.
+    """
+    discs, outer = pic.discs, pic.outer
+    seen = set()
+    for start in product(range(len(pic.arcs)), (0, 1)):
+        if start in seen:
+            continue
+        groups = []
+        touches = False
+        dart = start
+        while True:
+            seen.add(dart)
+            disc, pos = locs[dart[0], 1 - dart[1]]
+            if disc == OUTER_DISC:
+                touches = True
+                item = outer[(pos + 1) % len(outer)]
+                groups.append((dart, ()))
+            else:
+                b = discs[disc].boundary
+                j = (pos + 1) % len(b)
+                item = b[(pos + 2) % len(b)]
+                groups.append((dart, ((disc, j, b[j][1]),)))
+            dart = (item[1], 0 if item[2] == 0 else 1)
+            if dart == start:
+                break
+        yield groups, touches
 
 
 def trace_regions(pic: Picture) -> list:
@@ -148,45 +216,14 @@ def trace_regions(pic: Picture) -> list:
     arrival end to the departure end on each disc."""
     if not pic.discs and not pic.arcs:
         return []
-    locs = _check_structure(pic)
-    darts = [(ai, d) for ai in range(len(pic.arcs)) for d in (0, 1)]
-    seen = set()
     regions = []
-    for start in darts:
-        if start in seen:
-            continue
-        items = []
-        corners = []
-        touches = False
-        dart = start
-        while True:
-            seen.add(dart)
-            ai, dr = dart
-            head_end = 1 if dr == 0 else 0
-            disc, pos = locs[(ai, head_end)]
-            group = []
-            if disc == OUTER_DISC:
-                touches = True
-            rot = _boundary_rotation(pic, disc)
-            j = pos
-            while True:
-                j = (j + 1) % len(rot)
-                item = rot[j]
-                if item[0] == ARC:
-                    break
-                group.append((disc, j, item[1]))
-            corners.extend(group)
-            items.append((dart, tuple(group)))
-            out_arc, out_end = item[1], item[2]
-            dart = (out_arc, 0 if out_end == 0 else 1)
-            if dart == start:
-                break
-        ri = len(regions)
+    for groups, touches in _walk(pic, _check_structure(pic)):
+        corners = tuple(c for _, group in groups for c in group)
         label = ()
         for _, _, wd in corners:
             label = wmul(label, wd)
-        regions.append(Region(ri, tuple(items), tuple(corners), len(items),
-                              touches, label, TriState.UNKNOWN))
+        regions.append(Region(len(regions), tuple(groups), corners,
+                              len(groups), touches, label, TriState.UNKNOWN))
     return regions
 
 
@@ -365,39 +402,43 @@ def find_dipole(pic: Picture, p, ctx) -> Optional[Dipole]:
     """First dipole in deterministic region-trace order, or None.
 
     A dipole is an arc between two distinct discs whose flanking corners
-    within one region read mutually inverse disc words.
+    within one region read mutually inverse disc words.  Regions are
+    traced one at a time and the search stops at the first dipole, so no
+    region label is formed.
     """
-    locs = _end_locations(pic)
-    regions = trace_regions(pic)
-    for region in regions:
-        groups = region.items
-        k = len(groups)
-        for i in range(k):
-            dart, corners_after = groups[i]
-            corners_before = groups[(i - 1) % k][1]
-            if not corners_before or not corners_after:
-                continue
-            ai, dr = dart
-            tail_disc = locs[(ai, 0 if dr == 0 else 1)][0]
-            head_disc = locs[(ai, 1 if dr == 0 else 0)][0]
-            if tail_disc == OUTER_DISC or head_disc == OUTER_DISC:
-                continue
-            if tail_disc == head_disc:
-                continue
-            ka = corners_before[-1]
-            kb = corners_after[0]
-            wa = _corner_word_at(pic, ka[0], ka[1])
-            wb = _corner_word_at(pic, kb[0], kb[1])
-            if letters_equal(invert_letter_form(wa), wb, ctx) == TriState.YES:
-                return Dipole(ai, region.index, ka, kb)
+    if not pic.discs and not pic.arcs:
+        _end_locations(pic)  # the boundary circle alone may repeat an end
+        return None
+    for ri, (groups, _) in enumerate(_walk(pic, _check_structure(pic))):
+        # a dart's flanking corners are the last of the group before it and
+        # the first of its own: one corner each on the discs it leaves and
+        # reaches, none on the boundary circle
+        before = groups[-1][1]
+        for dart, after in groups:
+            if before and after and before[0][0] != after[0][0]:
+                ka, kb = before[0], after[0]
+                wa = _corner_word_at(pic, ka[0], ka[1])
+                wb = _corner_word_at(pic, kb[0], kb[1])
+                if letters_equal(invert_letter_form(wa), wb, ctx) == TriState.YES:
+                    return Dipole(dart[0], ri, ka, kb)
+            before = after
     return None
 
 
 def cancel_dipole(pic: Picture, d: Dipole) -> Picture:
     """Remove the dipole's two discs and connecting arc, splicing the freed
     arc ends in mirrored order.  Splices that close up entirely become
-    floating circles and are dropped.  Disc count decreases by exactly 2."""
-    locs = _end_locations(pic)
+    floating circles and are dropped.  Disc count decreases by exactly 2.
+
+    The remaining arcs keep their order.  An arc with no spliced end keeps
+    its ends; a spliced chain takes the place of its least arc, with end 0
+    at the free end that the chain walk from that arc meets first.
+    """
+    ends = [_END(it) for disc in pic.discs for it in disc.boundary
+            if it[0] == ARC]
+    ends += map(_END, pic.outer)
+    if len(set(ends)) != len(ends):
+        _end_locations(pic)  # raises, naming the first end attached twice
     disc_a = d.corner_a[0]
     disc_b = d.corner_b[0]
     if disc_a == disc_b:
@@ -431,9 +472,11 @@ def cancel_dipole(pic: Picture, d: Dipole) -> Picture:
                              "the normal oppositely")
 
     # walk chains of spliced segments; chains with two free ports become
-    # arcs of the new picture, fully spliced chains become dropped circles
+    # arcs of the new picture, fully spliced chains become dropped circles.
+    # An arc with no spliced end keeps both ends under its new id.
     removed_arcs = {d.arc}
-    port_of = {}
+    renum = {}  # arc id -> new id, for the arcs that keep both ends
+    port_of = {}  # a chain's free (arc, end) -> (new id, new end)
     new_arcs = []
     seen_arc = set()
     for ai in range(len(pic.arcs)):
@@ -441,11 +484,8 @@ def cancel_dipole(pic: Picture, d: Dipole) -> Picture:
             continue
         involved = (ai, 0) in splice or (ai, 1) in splice
         if not involved:
-            seen_arc.add(ai)
-            nid = len(new_arcs)
+            renum[ai] = len(new_arcs)
             new_arcs.append(pic.arcs[ai])
-            port_of[(ai, 0)] = (nid, 0)
-            port_of[(ai, 1)] = (nid, 1)
             continue
         # find a free port of this chain, if any
         chain_ends = []
@@ -479,6 +519,10 @@ def cancel_dipole(pic: Picture, d: Dipole) -> Picture:
         out = []
         for it in items:
             if it[0] == ARC:
+                nid = renum.get(it[1])
+                if nid is not None and it[2] in (0, 1):
+                    out.append((ARC, nid, it[2]))
+                    continue
                 key = (it[1], it[2])
                 if key not in port_of:
                     raise ValueError("dangling arc end after splice")

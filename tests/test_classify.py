@@ -481,6 +481,19 @@ def test_case_flags_asks_each_order_once(monkeypatch, fresh_contexts):
     assert (flags.og, flags.oh, flags.ogh) == flags.mu.orders
 
 
+def test_pair_facts_asks_the_subgroup_order_once(monkeypatch, fresh_contexts):
+    # commuting a, b of orders 2 and 4 leave both BBP-E4 and AAE-E open
+    # until |gp{a,b}| is known; the pair's record asks it once for both
+    calls = _counting(monkeypatch, "subgroup_order")
+    inst = LengthFourInstance(Z2Z4, (("a", 1),), (("b", 1),), 3, 1)
+    f = case_flags(inst, 10 ** 4)
+    assert len(calls) == 1
+    assert f["BBP-E4"] == YES and f["AAE-E"] == YES
+    v = classify(inst, 10 ** 4)
+    assert len(calls) == 1
+    assert v.dr == YES and v.aspherical == YES and v.justification == "lk-n-1"
+
+
 @pytest.mark.parametrize("inst, rule", [
     (cyc(8, 1, -2, 1, 3), "lk-2-neg1"),
     (cyc(7, 1, -6, 1, 2), "spread-exponents"),

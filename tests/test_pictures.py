@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from relasph.cli import main
 from relasph.coset import context_for
 from relasph.pictures import (
     ARC,
@@ -14,6 +17,7 @@ from relasph.pictures import (
     Dipole,
     Disc,
     Picture,
+    Region,
     _corner_word_at,
     cancel_dipole,
     curvature,
@@ -26,7 +30,13 @@ from relasph.pictures import (
     trace_regions,
     validate_picture,
 )
-from relasph.words import TriState, parse_presentation
+from relasph.words import (
+    TriState,
+    invert_letter_form,
+    letters_equal,
+    parse_presentation,
+    wmul,
+)
 
 
 @pytest.fixture(scope="module")
@@ -302,3 +312,385 @@ def test_angle_function_must_sum_to_2pi(fig2):
     bad[key] += 1
     with pytest.raises(ValueError, match="sum"):
         AngleFunction(bad).validate(pic)
+
+
+# ---------------------------------------------------------------------------
+# differential: the lazy region walk and the one-pass cancellation against
+# frozen copies of the former code, which traced and labelled every region
+# before searching for a dipole and cancelled through per-end dicts
+# ---------------------------------------------------------------------------
+
+def _ref_end_locations(pic):
+    locs = {}
+    for di, disc in enumerate(pic.discs):
+        for pos, item in enumerate(disc.boundary):
+            if item[0] == ARC:
+                key = (item[1], item[2])
+                if key in locs:
+                    raise ValueError(f"arc end {key} attached twice")
+                locs[key] = (di, pos)
+    for pos, item in enumerate(pic.outer):
+        key = (item[1], item[2])
+        if key in locs:
+            raise ValueError(f"arc end {key} attached twice")
+        locs[key] = (-1, pos)
+    return locs
+
+
+def _ref_check_structure(pic):
+    locs = _ref_end_locations(pic)
+    for ai, end in locs:
+        if end not in (0, 1) or not 0 <= ai < len(pic.arcs):
+            raise ValueError(f"{(ai, end)} is not an end of any arc")
+    for ai in range(len(pic.arcs)):
+        for end in (0, 1):
+            if (ai, end) not in locs:
+                raise ValueError(f"arc {ai} end {end} is unattached")
+    for di, disc in enumerate(pic.discs):
+        b = disc.boundary
+        n_arcs = sum(1 for it in b if it[0] == ARC)
+        n_corner = len(b) - n_arcs
+        if n_arcs == 0:
+            raise ValueError(f"disc {di} has no arc ends")
+        if n_arcs != n_corner:
+            raise ValueError(f"disc {di} does not alternate arcs and corners")
+        for pos, item in enumerate(b):
+            nxt = b[(pos + 1) % len(b)]
+            if item[0] == nxt[0]:
+                raise ValueError(f"disc {di} does not alternate arcs and corners")
+    for item in pic.outer:
+        if item[0] != ARC:
+            raise ValueError("outer boundary may only carry arc ends")
+    return locs
+
+
+def _ref_trace_regions(pic):
+    if not pic.discs and not pic.arcs:
+        return []
+    locs = _ref_check_structure(pic)
+    darts = [(ai, d) for ai in range(len(pic.arcs)) for d in (0, 1)]
+    seen = set()
+    regions = []
+    for start in darts:
+        if start in seen:
+            continue
+        items = []
+        corners = []
+        touches = False
+        dart = start
+        while True:
+            seen.add(dart)
+            ai, dr = dart
+            head_end = 1 if dr == 0 else 0
+            disc, pos = locs[(ai, head_end)]
+            group = []
+            if disc == -1:
+                touches = True
+            rot = pic.outer if disc == -1 else pic.discs[disc].boundary
+            j = pos
+            while True:
+                j = (j + 1) % len(rot)
+                item = rot[j]
+                if item[0] == ARC:
+                    break
+                group.append((disc, j, item[1]))
+            corners.extend(group)
+            items.append((dart, tuple(group)))
+            out_arc, out_end = item[1], item[2]
+            dart = (out_arc, 0 if out_end == 0 else 1)
+            if dart == start:
+                break
+        label = ()
+        for _, _, wd in corners:
+            label = wmul(label, wd)
+        regions.append(Region(len(regions), tuple(items), tuple(corners),
+                              len(items), touches, label, TriState.UNKNOWN))
+    return regions
+
+
+def _ref_find_dipole(pic, p, ctx):
+    locs = _ref_end_locations(pic)
+    for region in _ref_trace_regions(pic):
+        groups = region.items
+        k = len(groups)
+        for i in range(k):
+            dart, corners_after = groups[i]
+            corners_before = groups[(i - 1) % k][1]
+            if not corners_before or not corners_after:
+                continue
+            ai, dr = dart
+            tail_disc = locs[(ai, 0 if dr == 0 else 1)][0]
+            head_disc = locs[(ai, 1 if dr == 0 else 0)][0]
+            if tail_disc == -1 or head_disc == -1 or tail_disc == head_disc:
+                continue
+            ka = corners_before[-1]
+            kb = corners_after[0]
+            wa = _corner_word_at(pic, ka[0], ka[1])
+            wb = _corner_word_at(pic, kb[0], kb[1])
+            if letters_equal(invert_letter_form(wa), wb, ctx) == TriState.YES:
+                return Dipole(ai, region.index, ka, kb)
+    return None
+
+
+def _ref_cancel_dipole(pic, d):
+    _ref_end_locations(pic)
+    disc_a = d.corner_a[0]
+    disc_b = d.corner_b[0]
+    if disc_a == disc_b:
+        raise ValueError("a dipole joins two distinct discs")
+
+    def ends_after_connector(disc):
+        b = pic.discs[disc].boundary
+        n = len(b)
+        start = next(pos for pos, it in enumerate(b)
+                     if it[0] == ARC and it[1] == d.arc)
+        out = []
+        j = start
+        for _ in range(n // 2 - 1):
+            j = (j + 2) % n
+            out.append((b[j][1], b[j][2]))
+        return out
+
+    ea = ends_after_connector(disc_a)
+    eb = ends_after_connector(disc_b)
+    if len(ea) != len(eb):
+        raise ValueError("the dipole's discs have different degrees")
+    splice = {}
+    for i, end_a in enumerate(ea):
+        end_b = eb[len(eb) - 1 - i]
+        splice[end_a] = end_b
+        splice[end_b] = end_a
+        arc_a, arc_b = pic.arcs[end_a[0]], pic.arcs[end_b[0]]
+        if (arc_a.label != arc_b.label
+                or arc_a.end_sign(end_a[1]) != -arc_b.end_sign(end_b[1])):
+            raise ValueError("spliced ends must carry one label and cross "
+                             "the normal oppositely")
+    port_of = {}
+    new_arcs = []
+    seen_arc = set()
+    for ai in range(len(pic.arcs)):
+        if ai == d.arc or ai in seen_arc:
+            continue
+        if (ai, 0) not in splice and (ai, 1) not in splice:
+            seen_arc.add(ai)
+            port_of[(ai, 0)] = (len(new_arcs), 0)
+            port_of[(ai, 1)] = (len(new_arcs), 1)
+            new_arcs.append(pic.arcs[ai])
+            continue
+        chain_ends = []
+        visited = set()
+        stack = [ai]
+        while stack:
+            a = stack.pop()
+            if a in visited:
+                continue
+            visited.add(a)
+            for e in (0, 1):
+                if (a, e) in splice:
+                    stack.append(splice[(a, e)][0])
+                else:
+                    chain_ends.append((a, e))
+        seen_arc.update(visited)
+        if not chain_ends:
+            continue
+        p0, p1 = chain_ends
+        s0 = pic.arcs[p0[0]].end_sign(p0[1])
+        if pic.arcs[p1[0]].end_sign(p1[1]) != -s0:
+            raise ValueError("a spliced arc's ends must cross the normal "
+                             "oppositely")
+        port_of[p0] = (len(new_arcs), 0)
+        port_of[p1] = (len(new_arcs), 1)
+        new_arcs.append(Arc(pic.arcs[p0[0]].label, s0))
+
+    def remap_boundary(items):
+        out = []
+        for it in items:
+            if it[0] == ARC:
+                if (it[1], it[2]) not in port_of:
+                    raise ValueError("dangling arc end after splice")
+                out.append((ARC, *port_of[(it[1], it[2])]))
+            else:
+                out.append(it)
+        return tuple(out)
+
+    new_discs = tuple(Disc(remap_boundary(disc.boundary))
+                      for di, disc in enumerate(pic.discs)
+                      if di not in (disc_a, disc_b))
+    return Picture(new_discs, tuple(new_arcs), remap_boundary(pic.outer))
+
+
+def side_by_side(pic, copies, rng, turn_discs=False):
+    """`copies` disjoint copies of a picture with a boundary, their arc ids
+    permuted and their discs shuffled, sharing one boundary circle that
+    starts at a random end.  With `turn_discs`, each disc's stored boundary
+    also starts at a random item, a corner about half the time."""
+    n = len(pic.arcs)
+    perm = list(range(n * copies))
+    rng.shuffle(perm)
+
+    def relabel(items, c):
+        return tuple((ARC, perm[c * n + it[1]], it[2]) if it[0] == ARC
+                     else it for it in items)
+
+    arcs = [None] * (n * copies)
+    for c in range(copies):
+        for ai, arc in enumerate(pic.arcs):
+            arcs[perm[c * n + ai]] = arc
+    bounds = [relabel(d.boundary, c) for c in range(copies) for d in pic.discs]
+    rng.shuffle(bounds)
+    if turn_discs:
+        bounds = [b[k:] + b[:k] for b in bounds for k in [rng.randrange(len(b))]]
+    outer = [it for c in range(copies) for it in relabel(pic.outer, c)]
+    turn = rng.randrange(len(outer))
+    return Picture(tuple(Disc(b) for b in bounds), tuple(arcs),
+                   tuple(outer[turn:] + outer[:turn]))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as err:
+        return "ValueError", str(err)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 5, 16, 32])
+def test_reduction_matches_the_frozen_reference(fig1a, copies):
+    # every step: the same regions, the same dipole, the same picture
+    base, pres, ctx = fig1a
+    for seed in range(3):
+        for turn_discs in (False, True):
+            rng = random.Random(f"{copies}:{seed}:{turn_discs}")
+            pic = side_by_side(base, copies, rng, turn_discs)
+            steps = 0
+            while True:
+                assert trace_regions(pic) == _ref_trace_regions(pic)
+                d = find_dipole(pic, pres, ctx)
+                assert d == _ref_find_dipole(pic, pres, ctx)
+                if d is None:
+                    break
+                after = cancel_dipole(pic, d)
+                assert after == _ref_cancel_dipole(pic, d)
+                pic = after
+                steps += 1
+            assert steps == copies and not pic.discs
+
+
+def test_reduced_picture_matches_the_frozen_reference(fig2):
+    pic, pres, ctx = fig2
+    rng = random.Random(2)
+    for _ in range(4):
+        assert trace_regions(pic) == _ref_trace_regions(pic)
+        assert find_dipole(pic, pres, ctx) is None
+        assert _ref_find_dipole(pic, pres, ctx) is None
+        pic = Picture(tuple(Disc(d.boundary[k:] + d.boundary[:k])
+                            for d in pic.discs
+                            for k in [rng.randrange(len(d.boundary))]),
+                      pic.arcs, pic.outer)
+
+
+def _broken_maps(pic):
+    """(expected message, map) pairs, each map broken in one way."""
+    discs = [list(d.boundary) for d in pic.discs]
+
+    def with_disc(i, items):
+        out = [tuple(b) for b in discs]
+        out[i] = tuple(items)
+        return Picture(tuple(Disc(b) for b in out), pic.arcs, pic.outer)
+
+    twice = list(discs[1])
+    twice[0] = discs[0][0]
+    yield "attached twice", with_disc(1, twice)
+    yield "is unattached", Picture(pic.discs, pic.arcs, pic.outer[:-1])
+    swapped = list(discs[0])
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    yield "does not alternate", with_disc(0, swapped)
+    yield "does not alternate", with_disc(0, discs[0][:-1])
+    _, ai, end = pic.outer[-1]
+    yield "not an end of any arc", Picture(
+        pic.discs, pic.arcs, pic.outer[:-1] + ((ARC, ai, end + 2),))
+    yield "no arc ends", Picture(pic.discs + (Disc(()),), pic.arcs, pic.outer)
+    _, ai, end = pic.outer[-1]
+    yield "outer boundary", Picture(
+        pic.discs, pic.arcs, pic.outer[:-1] + ((CORNER, ai, end),))
+
+
+def test_broken_maps_raise_as_the_frozen_reference(fig1a):
+    base, pres, ctx = fig1a
+    pic = side_by_side(base, 2, random.Random(5))
+    for message, broken in _broken_maps(pic):
+        for got, want in (
+                (_outcome(trace_regions, broken),
+                 _outcome(_ref_trace_regions, broken)),
+                (_outcome(find_dipole, broken, pres, ctx),
+                 _outcome(_ref_find_dipole, broken, pres, ctx))):
+            assert got == want
+            assert got[0] == "ValueError" and message in got[1], got
+    # a map of no discs and no arcs traces to no regions, yet the dipole
+    # search still rejects a boundary circle that repeats an end
+    empty = Picture((), (), ((ARC, 0, 0), (ARC, 0, 0)))
+    assert trace_regions(empty) == _ref_trace_regions(empty) == []
+    got = _outcome(find_dipole, empty, pres, ctx)
+    assert got == _outcome(_ref_find_dipole, empty, pres, ctx)
+    assert got == ("ValueError", "arc end (0, 0) attached twice")
+
+
+def test_bad_dipoles_raise_as_the_frozen_reference(fig1a):
+    base, pres, ctx = fig1a
+    pic = side_by_side(base, 2, random.Random(5))
+    d = find_dipole(pic, pres, ctx)
+    twice = next(broken for message, broken in _broken_maps(pic)
+                 if message == "attached twice")
+    # flip an arc that the cancellation splices: the end after the connector
+    b = pic.discs[d.corner_a[0]].boundary
+    at = next(pos for pos, it in enumerate(b) if it[:2] == (ARC, d.arc))
+    spliced = b[(at + 2) % len(b)][1]
+    flipped = Picture(pic.discs, tuple(
+        Arc(a.label, -a.orient) if i == spliced else a
+        for i, a in enumerate(pic.arcs)), pic.outer)
+    for message, broken, dipole in (
+            ("attached twice", twice, d),
+            ("distinct discs", pic, Dipole(d.arc, d.region, d.corner_a,
+                                           d.corner_a)),
+            ("oppositely", flipped, d)):
+        got = _outcome(cancel_dipole, broken, dipole)
+        assert got == _outcome(_ref_cancel_dipole, broken, dipole)
+        assert got[0] == "ValueError" and message in got[1], got
+
+
+# `relasph picture <file> --reduce` on the 16-copy picture below, recorded
+# from the former code: the sha256 of the whole stdout, and its last lines
+REDUCE_16_SHA256 = ("cfdce094ce4b03f87f25d6092ec7bab6"
+                    "69f4a8f854568ff36f4ca602326c0e52")
+REDUCE_16_TAIL = """\
+valid: yes; strictly spherical: no
+cancelled dipole at arc 81 (region 0); 30 discs remain
+cancelled dipole at arc 85 (region 5); 28 discs remain
+cancelled dipole at arc 5 (region 9); 26 discs remain
+cancelled dipole at arc 93 (region 10); 24 discs remain
+cancelled dipole at arc 90 (region 13); 22 discs remain
+cancelled dipole at arc 66 (region 14); 20 discs remain
+cancelled dipole at arc 10 (region 14); 18 discs remain
+cancelled dipole at arc 62 (region 14); 16 discs remain
+cancelled dipole at arc 26 (region 16); 14 discs remain
+cancelled dipole at arc 14 (region 20); 12 discs remain
+cancelled dipole at arc 56 (region 19); 10 discs remain
+cancelled dipole at arc 17 (region 23); 8 discs remain
+cancelled dipole at arc 41 (region 28); 6 discs remain
+cancelled dipole at arc 43 (region 31); 4 discs remain
+cancelled dipole at arc 28 (region 32); 2 discs remain
+cancelled dipole at arc 38 (region 34); 0 discs remain
+reduced after 16 cancellations
+"""
+
+
+def test_reduce_transcript_is_unchanged(fig1a, fixtures_dir, tmp_path,
+                                        capsys):
+    base, _, _ = fig1a
+    text = json.loads((fixtures_dir / "fig1a.json").read_text())
+    path = tmp_path / "fig1a_x16.json"
+    path.write_text(picture_to_json(
+        side_by_side(base, 16, random.Random(16)), text["presentation"]))
+    assert main(["picture", str(path), "--reduce"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(REDUCE_16_TAIL)
+    assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_16_SHA256
