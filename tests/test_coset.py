@@ -560,3 +560,31 @@ def test_tables_identical_to_the_list_enumerator():
                hashlib.sha256(t.tab.tobytes()).hexdigest()[:16])
         assert got == (status, n, defined, digest), (group, subgroup,
                                                      strategy, cap)
+
+
+# two paths _GUARD leaves out, recorded from the enumerator before its scans
+# were merged into one: Felsch with subgroup generators, and HLT without the
+# lookahead rescue stopping at its cap
+# (group, subgroup generators, strategy, cap, lookahead, status, index,
+# total_defined, digest as in _GUARD)
+_GUARD_PATHS = (
+    ("PSL27", "b, a b a b^-1 a",
+     "felsch", 10_000, True, "complete", 7, 9, "8d76ba2a98c77e97"),
+    ("{3,-1} L6", "h",
+     "felsch", 3_000_000, True, "complete", 1512, 2158, "0efccc09be8ac5f5"),
+    ("VD", "", "hlt", 1000, False, "budget", 931, 1000, "e3b0c44298fc1c14"),
+    ("A5", "", "hlt", 70, False, "budget", 62, 70, "e3b0c44298fc1c14"),
+)
+
+
+@pytest.mark.parametrize("row", _GUARD_PATHS, ids=lambda r: f"{r[0]}-{r[2]}")
+def test_felsch_subgroup_and_hlt_without_lookahead_tables(row):
+    group, subgroup, strategy, cap, lookahead, *expected = row
+    fixtures = {f.name: f for f in TABLE1_FIXTURES}
+    pres = (_GUARD_GROUPS[group] if group in _GUARD_GROUPS
+            else fixtures[group].instance().lifted())
+    subs = [parse_word(w) for w in subgroup.split(",")] if subgroup else []
+    t = enumerate_cosets(pres, subs, cap, strategy=strategy,
+                         lookahead=lookahead)
+    assert [t.status, t.n, t.total_defined,
+            hashlib.sha256(t.tab.tobytes()).hexdigest()[:16]] == expected
