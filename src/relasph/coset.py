@@ -6,23 +6,25 @@ enumerator follows the HLT (relator-based) strategy with lookahead and
 compaction as the default, with a Felsch (deduction-based) strategy
 available for cross-checking; both must produce the same index.
 
-Two scans do all the relator work.  `_scan_and_fill` fills a gap with new
-cosets (Holt's SCAN_AND_FILL); `_scan` never defines a coset and only
-applies a closing deduction or a coincidence.
+One scan does all the relator work.  `_scan` applies a closing
+deduction or a coincidence, and with `fill` it first fills a longer gap
+with new cosets (Holt's SCAN_AND_FILL).  `_define` hands out every other
+new coset, and `_coincidence` does every merge.
 
 Determinism: both strategies first scan and fill each subgroup generator
 at coset 1, in input order.  HLT then processes cosets in increasing
 order, scanning and filling relators in input order, then fills generator
 columns in increasing column order.  On table overflow it runs a lookahead
-pass (`_scan` of all relators at all live cosets, in order) followed by
-compaction, which renumbers live cosets preserving their relative order,
-and resumes; it repeats this rescue at each overflow while the compacted
-table stays below 98% of the cap, and gives up once more than 10 x cap
-cosets have been defined.  Felsch pushes every entry the subgroup scans
-made onto its deduction stack, then defines the first undefined entry of
-the lowest live coset; it drains the stack LIFO, with `_scan` of each
-relator rotation that starts with the deduced column.  Budget exhaustion
-is a value (`status == "budget"`), never an error.
+pass (`_scan` without fill of all relators at all live cosets, in order)
+followed by compaction, which renumbers live cosets preserving their
+relative order, and resumes; it repeats this rescue at each overflow while
+the compacted table stays below 98% of the cap, and gives up once more
+than 10 x cap cosets have been defined.  Felsch pushes every entry the
+subgroup scans made onto its deduction stack, then defines the first
+undefined entry of the lowest live coset; it drains the stack LIFO, with
+`_scan` without fill of each relator rotation that starts with the
+deduced column.  Budget exhaustion is a value (`status == "budget"`),
+never an error.
 
 References: Holt, Eick, O'Brien, "Handbook of Computational Group
 Theory", chapter 5.
@@ -191,14 +193,10 @@ def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
     rels = [_word_cols(r, gen_index) for r in pres.relators]
     subs = tuple(_word_cols(free_reduce(w), gen_index)
                  for w in subgroup_words)
-    if strategy == "hlt":
-        e = _Enum(len(pres.generators), rels, subs, cap)
-        status = e.run_hlt(lookahead=lookahead)
-    elif strategy == "felsch":
-        e = _Enum(len(pres.generators), rels, subs, cap)
-        status = e.run_felsch()
-    else:
+    if strategy not in ("hlt", "felsch"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    e = _Enum(len(pres.generators), rels, subs, cap)
+    status = e.run_hlt(lookahead) if strategy == "hlt" else e.run_felsch()
     if status == "budget":
         # the partial action carries no completed answers; drop it
         return CosetTable(pres, subs, array("i"), e.nlive, status, cap,
@@ -215,6 +213,14 @@ class _Enum:
     4 * (W + 1) bytes: 20 B with two generators.  Python lists cost 8 B a
     slot plus a boxed int for every entry above 256.
 
+    ``_scan`` does all the relator work, ``_define`` hands out new rows
+    and ``_coincidence`` does every merge.  The gap fill in ``_scan`` is
+    ``_define`` inlined: a call per row made table1's HLT enumerations
+    about a tenth slower on a 2-vCPU VM.  Relators and subgroup
+    generators are kept as (columns, inverse columns) pairs.  ``nlive``
+    and ``total_defined`` follow from ``nrows`` and the ``dead`` and
+    ``dropped`` counts, so nothing that hands out a row counts it.
+
     ``_grow`` adds max(alloc / 8, _CHUNK) zeroed rows, clipped at cap + 1,
     so small enumerations under a large default cap stay cheap and unused
     rows stay under 1/8 of a large table; entries of ``p`` above ``nrows``
@@ -227,8 +233,8 @@ class _Enum:
     def __init__(self, ngens: int, rels, subs, cap: int):
         self.W = W = 2 * ngens
         self.cols = [(c, c ^ 1) for c in range(W)]  # column, inverse column
-        self.rels = rels
-        self.subs = subs
+        self.rels = [(w, tuple(c ^ 1 for c in w)) for w in rels]
+        self.subs = [(w, tuple(c ^ 1 for c in w)) for w in subs]
         self.cap = cap
         alloc = min(cap + 1, _CHUNK)
         self.tab = array("i", bytes(_INT * W * (alloc + 1)))
@@ -236,8 +242,8 @@ class _Enum:
         self.p[1] = 1
         self.alloc = alloc
         self.nrows = 1  # highest row in use; coset 1 exists from the start
-        self.nlive = 1
-        self.total_defined = 1
+        self.dead = 0  # dead rows among 1..nrows
+        self.dropped = 0  # rows compaction has dropped
         self.dedstack = []  # only used by Felsch
 
     # -- low level ---------------------------------------------------------
@@ -251,20 +257,27 @@ class _Enum:
         self.p.frombytes(bytes(_INT * add))
         self.alloc += add
 
+    @property
+    def nlive(self) -> int:
+        return self.nrows - self.dead
+
+    @property
+    def total_defined(self) -> int:
+        return self.nrows + self.dropped
+
     def _define(self, a: int, c: int) -> int:
         """Define a new coset a^c; 0 once the cap is reached."""
-        if self.nrows >= self.cap:
-            return 0
-        if self.nrows + 1 >= self.alloc:
-            self._grow()
         b = self.nrows + 1
+        if b > self.cap:
+            return 0
+        if b >= self.alloc:
+            self._grow()
         self.nrows = b
-        self.nlive += 1
-        self.total_defined += 1
         self.p[b] = b
+        tab = self.tab
         W = self.W
-        self.tab[a * W + c] = b
-        self.tab[b * W + (c ^ 1)] = a
+        tab[a * W + c] = b
+        tab[b * W + (c ^ 1)] = a
         return b
 
     def _rep(self, k: int) -> int:
@@ -325,44 +338,40 @@ class _Enum:
                         k = d
                         while p[k] != nu:
                             p[k], k = nu, p[k]
-                    t = tab[mu * W + c]
-                    if t:
-                        phi = nu
-                        psi = t
-                        while p[psi] != psi:
-                            psi = p[psi]
-                        if phi != psi:
-                            if phi > psi:
-                                phi, psi = psi, phi
-                            p[psi] = phi
-                            q.append(psi)
-                    else:
-                        t2 = tab[nu * W + ci]
-                        if t2:
-                            phi = mu
-                            psi = t2
-                            while p[psi] != psi:
-                                psi = p[psi]
-                            if phi != psi:
-                                if phi > psi:
-                                    phi, psi = psi, phi
-                                p[psi] = phi
-                                q.append(psi)
-                        else:
+                    # y's c-edge now runs mu -> nu: merge nu with mu's
+                    # c-image, or else mu with nu's inverse image, or else
+                    # enter the edge
+                    phi = nu
+                    psi = tab[mu * W + c]
+                    if not psi:
+                        phi = mu
+                        psi = tab[nu * W + ci]
+                        if not psi:
                             tab[mu * W + c] = nu
                             tab[nu * W + ci] = mu
                             if ded is not None:
                                 ded.append((mu, c))
-        self.nlive -= dead
+                            continue
+                    while p[psi] != psi:
+                        psi = p[psi]
+                    if phi != psi:
+                        if phi > psi:
+                            phi, psi = psi, phi
+                        p[psi] = phi
+                        q.append(psi)
+        self.dead += dead
 
-    # -- the two scans ------------------------------------------------------
+    # -- the scan ----------------------------------------------------------
 
-    def _scan_and_fill(self, a: int, w, wi) -> bool:
-        """Scan relator `w` (inverse columns `wi`) at coset `a`, filling
-        any gap with new cosets (Holt's SCAN_AND_FILL).
+    def _scan(self, a: int, w, wi, fill: bool = False,
+              deductions: bool = False) -> bool:
+        """Scan relator `w` (inverse columns `wi`) at coset `a`.
 
-        Returns True when the cap stopped it.  New rows raise ``nrows``
-        only; the caller counts them into ``nlive`` and ``total_defined``.
+        A scan that closes applies its coincidence, and one that leaves a
+        single entry open applies that deduction, pushing it if
+        `deductions`.  A longer gap stays open unless `fill`, which fills
+        it with new cosets and scans on (Holt's SCAN_AND_FILL).  Returns
+        True when the cap stopped a fill.
         """
         tab = self.tab
         W = self.W
@@ -377,7 +386,7 @@ class _Enum:
                 i += 1
             if i > j:
                 if f != b:
-                    self._coincidence(f, b)
+                    self._coincidence(f, b, deductions)
                 return False
             while j >= i:
                 t = tab[b * W + wi[j]]
@@ -386,16 +395,20 @@ class _Enum:
                 b = t
                 j -= 1
             if j < i:
-                self._coincidence(f, b)
+                self._coincidence(f, b, deductions)
                 return False
             if j == i:
                 tab[f * W + w[i]] = b
                 tab[b * W + wi[i]] = f
+                if deductions:
+                    self.dedstack.append((f, w[i]))
                 return False
-            # fill the whole gap w[i..j-1] with fresh cosets; when the
-            # first of them is the entry the backward scan stopped at
-            # (f == b, w[i] == w[j]^1), define that one alone and rescan,
-            # or the closing deduction would overwrite it
+            if not fill:
+                return False
+            # fill w[i..j-1] with fresh cosets (_define, inlined) and scan
+            # on to the closing deduction; when the first of them is the
+            # entry the backward scan stopped at (f == b, w[i] == w[j]^1),
+            # define that one alone, or the deduction would overwrite it
             rescan = f == b and w[i] == wi[j]
             p = self.p
             nrows = self.nrows
@@ -404,7 +417,6 @@ class _Enum:
                     self.nrows = nrows
                     return True
                 if nrows + 1 >= self.alloc:
-                    self.nrows = nrows
                     self._grow()
                 nrows += 1
                 tab[f * W + w[i]] = nrows
@@ -415,53 +427,11 @@ class _Enum:
                 if rescan:
                     break
             self.nrows = nrows
-            if rescan:
-                continue
-            # deduction closes the scan
-            tab[f * W + w[i]] = b
-            tab[b * W + wi[i]] = f
-            return False
-
-    def _scan(self, a: int, w, deductions: bool = False) -> None:
-        """Scan relator `w` at coset `a` without defining a coset; apply a
-        closing deduction or coincidence, pushing deductions if asked."""
-        tab = self.tab
-        W = self.W
-        f, i = a, 0
-        b, j = a, len(w) - 1
-        while i <= j:
-            t = tab[f * W + w[i]]
-            if not t:
-                break
-            f = t
-            i += 1
-        if i > j:
-            if f != b:
-                self._coincidence(f, b, deductions)
-            return
-        while j >= i:
-            t = tab[b * W + (w[j] ^ 1)]
-            if not t:
-                break
-            b = t
-            j -= 1
-        if j < i:
-            self._coincidence(f, b, deductions)
-        elif j == i:
-            tab[f * W + w[i]] = b
-            tab[b * W + (w[i] ^ 1)] = f
-            if deductions:
-                self.dedstack.append((f, w[i]))
 
     def _fill_subgroup(self) -> bool:
-        """Scan and fill every subgroup generator at coset 1, counting the
-        new cosets; True when the cap stopped it."""
-        start = self.nrows
-        stopped = any(self._scan_and_fill(1, w, tuple(c ^ 1 for c in w))
-                      for w in self.subs)
-        self.nlive += self.nrows - start
-        self.total_defined += self.nrows - start
-        return stopped
+        """Scan and fill every subgroup generator at coset 1; True when the
+        cap stopped it."""
+        return any(self._scan(1, w, wi, fill=True) for w, wi in self.subs)
 
     # -- HLT ---------------------------------------------------------------
 
@@ -470,60 +440,44 @@ class _Enum:
         for a in range(1, self.nrows + 1):
             if p[a] != a:
                 continue
-            for w in self.rels:
-                self._scan(a, w)
+            for w, wi in self.rels:
+                self._scan(a, w, wi)
                 if p[a] != a:
                     break
+
+    def _close_from(self, a: int) -> int:
+        """Close each live coset from `a` on, in order: scan and fill every
+        relator there, then define each of its entries still empty.
+        Returns the coset the cap stopped at, or 0 once all are closed."""
+        W = self.W
+        p = self.p
+        tab = self.tab
+        scan = self._scan
+        define = self._define
+        rels = self.rels
+        while a <= self.nrows:
+            if p[a] == a:
+                for w, wi in rels:
+                    if scan(a, w, wi, True):
+                        return a
+                    if p[a] != a:
+                        break
+                else:
+                    base = a * W
+                    for c in range(W):
+                        if tab[base + c] == 0 and not define(a, c):
+                            return a
+            a += 1
+        return 0
 
     def run_hlt(self, lookahead: bool = True) -> str:
         if self._fill_subgroup():
             return "budget"
         cap = self.cap
-        W = self.W
-        scan_and_fill = self._scan_and_fill
-        # each relator with its inverse columns, read by the backward scan
-        rels = [(w, tuple(c ^ 1 for c in w)) for w in self.rels]
-        cols = self.cols
         a = 1
         while True:
-            tab = self.tab
-            p = self.p
-            pass_start = self.nrows
-            over_budget = False
-            while a <= self.nrows:
-                if p[a] != a:
-                    a += 1
-                    continue
-                for w, wi in rels:
-                    if scan_and_fill(a, w, wi):
-                        over_budget = True
-                        break
-                    if p[a] != a:
-                        break
-                if over_budget:
-                    break
-                if p[a] == a:
-                    base = a * W
-                    nrows = self.nrows
-                    for c, ci in cols:
-                        if tab[base + c] == 0:
-                            if nrows >= cap:
-                                over_budget = True
-                                break
-                            if nrows + 1 >= self.alloc:
-                                self.nrows = nrows
-                                self._grow()
-                            nrows += 1
-                            tab[base + c] = nrows
-                            tab[nrows * W + ci] = a
-                            p[nrows] = nrows
-                    self.nrows = nrows
-                    if over_budget:
-                        break
-                a += 1
-            self.nlive += self.nrows - pass_start
-            self.total_defined += self.nrows - pass_start
-            if not over_budget:
+            a = self._close_from(a)
+            if not a:
                 return "complete"
             # lookahead-and-compact rescue; repeatable while it keeps
             # freeing at least 2% of the table, with a hard stop on total
@@ -538,17 +492,19 @@ class _Enum:
     # -- Felsch ------------------------------------------------------------
 
     def run_felsch(self) -> str:
-        # rotations of every relator and inverse, grouped by first column
+        # rotations of every relator and inverse, grouped by first column,
+        # each with its inverse columns
         by_col = {c: [] for c in range(self.W)}
         seen = set()
-        for w in self.rels:
+        for w, _ in self.rels:
             iw = tuple(c ^ 1 for c in reversed(w))
             for word in (w, iw):
                 for r in range(len(word)):
                     rot = word[r:] + word[:r]
                     if rot not in seen:
                         seen.add(rot)
-                        by_col[rot[0]].append(rot)
+                        by_col[rot[0]].append(
+                            (rot, tuple(c ^ 1 for c in rot)))
         p = self.p
         tab = self.tab
         W = self.W
@@ -589,15 +545,15 @@ class _Enum:
         while self.dedstack:
             a, c = self.dedstack.pop()
             a = self._rep(a)
-            for w in by_col[c]:
-                self._scan(a, w, deductions=True)
+            for w, wi in by_col[c]:
+                self._scan(a, w, wi, deductions=True)
                 if p[a] != a:
                     break
             b = tab[a * W + c]
             if b:
                 b = self._rep(b)
-                for w in by_col[c ^ 1]:
-                    self._scan(b, w, deductions=True)
+                for w, wi in by_col[c ^ 1]:
+                    self._scan(b, w, wi, deductions=True)
                     if p[b] != b:
                         break
 
@@ -640,7 +596,9 @@ class _Enum:
         # assuming they are zero, and _grow appends zeroed ones
         del tab[(new + 1) * W:]
         del p[new + 1:]
-        self.alloc = self.nrows = self.nlive = new
+        self.dropped += self.nrows - new
+        self.dead = 0
+        self.alloc = self.nrows = new
         for i in range(new + 1):
             p[i] = i
         return new_cursor if cursor else new
@@ -650,20 +608,17 @@ class _Enum:
 # orders, word problems
 # ---------------------------------------------------------------------------
 
-def group_order(pres: LiftedPresentation, cap: int = DEFAULT_CAP,
-                strategy: str = "hlt") -> OrderResult:
-    t = enumerate_cosets(pres, [], cap, strategy)
-    if t.complete:
-        return OrderResult.finite(t.n)
-    return OrderResult.exceeds(cap)
-
-
 def subgroup_index(pres: LiftedPresentation, subgroup_words: Sequence[Word],
                    cap: int = DEFAULT_CAP, strategy: str = "hlt") -> OrderResult:
     t = enumerate_cosets(pres, subgroup_words, cap, strategy)
     if t.complete:
         return OrderResult.finite(t.n)
     return OrderResult.exceeds(cap)
+
+
+def group_order(pres: LiftedPresentation, cap: int = DEFAULT_CAP,
+                strategy: str = "hlt") -> OrderResult:
+    return subgroup_index(pres, [], cap, strategy)
 
 
 # ---------------------------------------------------------------------------

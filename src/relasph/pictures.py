@@ -445,10 +445,16 @@ def cancel_dipole(pic: Picture, d: Dipole) -> Picture:
         raise ValueError("a dipole joins two distinct discs")
 
     def ends_after_connector(disc):
+        if not 0 <= disc < len(pic.discs):
+            raise ValueError(f"a dipole corner names disc {disc}, which the "
+                             "picture lacks")
         b = pic.discs[disc].boundary
         n = len(b)
-        start = next(pos for pos, it in enumerate(b)
-                     if it[0] == ARC and it[1] == d.arc)
+        start = next((pos for pos, it in enumerate(b)
+                      if it[0] == ARC and it[1] == d.arc), None)
+        if start is None:
+            raise ValueError(f"the dipole's arc {d.arc} does not meet "
+                             f"disc {disc}")
         out = []
         j = start
         for _ in range(n // 2 - 1):

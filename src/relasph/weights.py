@@ -76,10 +76,13 @@ class WeightFunction:
                 continue
             try:
                 pid, value = line.split()
-                weights[int(pid)] = Fraction(value)
+                pid, value = int(pid), Fraction(value)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"line {lineno}: expected 'pair_id weight', "
                                  "weight an integer or p/q with q != 0") from None
+            if pid in weights:
+                raise ValueError(f"line {lineno}: pair {pid} given twice")
+            weights[pid] = value
         missing = [pid for pid in graph.pair_ids() if pid not in weights]
         if missing:
             raise ValueError(f"weights missing for edge pairs {missing}")

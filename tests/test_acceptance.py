@@ -227,6 +227,7 @@ def _equivalence_battery(make_inst, n_values) -> list:
     return failures
 
 
+@pytest.mark.slow
 def test_criterion_3_z_m_equivalence():
     def z_inst(n, l, k):
         return LengthFourInstance(cyclic(n, "h"), (("h", 1),), (("h", 1),), l, k)
@@ -242,6 +243,7 @@ def test_criterion_3_z_m_equivalence():
            "over n <= 12, l <= 6, |k| <= 6", failures)
 
 
+@pytest.mark.slow
 def test_criterion_3_j4_j6_equivalence():
     def j4_inst(n, l, k):
         q = n // 4

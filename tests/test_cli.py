@@ -203,6 +203,16 @@ def test_weighttest_zero_denominator_exits_2(tmp_path, capsys):
     assert err.startswith("error: line 2:") and err.count("\n") == 1
 
 
+def test_weighttest_repeated_pair_exits_2(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_text("group <h | h^5>; x; rel x^3 h")
+    w = tmp_path / "weights.txt"
+    w.write_text("0 1/3\n0 1\n1 1/3\n2 1/3\n")
+    rc, out, err = run(capsys, "weighttest", str(f), str(w))
+    assert rc == 2 and out == ""
+    assert err == "error: line 2: pair 0 given twice\n"
+
+
 @pytest.mark.parametrize("cap", ["0", "-5", str(MAX_CAP + 1)])
 def test_cap_out_of_range_exits_2(capsys, cap):
     rc, out, err = run(capsys, "order", "--cyclic", "5", "--l", "2",

@@ -112,6 +112,11 @@ def test_bad_dipole_is_rejected(fig1a):
         cancel_dipole(Picture(pic.discs, flipped, pic.outer), d)
     with pytest.raises(ValueError, match="alternate"):
         _corner_word_at(pic, 0, 0)  # position 0 holds an arc end
+    with pytest.raises(ValueError, match="arc 2 does not meet disc"):
+        cancel_dipole(pic, Dipole(2, 0, d.corner_a, d.corner_b))
+    for corner_b in ((99, *d.corner_b[1:]), (-1, *d.corner_b[1:])):
+        with pytest.raises(ValueError, match="lacks"):
+            cancel_dipole(pic, Dipole(d.arc, d.region, d.corner_a, corner_b))
 
 
 def test_empty_picture(fig1a):
