@@ -212,7 +212,7 @@ def cmd_weighttest(args) -> int:
     ctx = coset.context_for(pres.coeff, args.cap)
     if args.weights == "search":
         res = search_weight_function(graph, ctx, args.denominator_bound,
-                                     args.bound, mode=args.mode)
+                                     args.bound)
         if res.found is None:
             print("no passing weight function found"
                   + (" (search capped)" if res.capped else ""))

@@ -20,6 +20,12 @@ Region labels are products of corner labels; triviality of a label does
 not depend on the traversal direction, so faces are reported in trace
 order with triviality decided by the coefficient-group oracle.
 
+A map is checked in one place, `_check_structure`, which says where each
+arc end sits or names the map's first fault.  Every public function that
+reads a map runs it once, on every map, the empty one included;
+`validate_picture` and `curvature` hand its result to both the
+connectivity test and the region walk.
+
 One dipole reduction step (`relasph picture --reduce`) costs one
 structure pass over the map plus a region walk that stops at the first
 dipole and forms no label (`find_dipole`); `cancel_dipole` then passes
@@ -107,30 +113,13 @@ _KIND = itemgetter(0)
 _END = itemgetter(1, 2)
 
 
-def _end_locations(pic: Picture) -> dict:
-    """(arc, end) -> (disc index or OUTER_DISC, boundary position)."""
-    locs = {}
-    for di, disc in enumerate(pic.discs):
-        for pos, item in enumerate(disc.boundary):
-            if item[0] == ARC:
-                key = (item[1], item[2])
-                if key in locs:
-                    raise ValueError(f"arc end {key} attached twice")
-                locs[key] = (di, pos)
-    for pos, item in enumerate(pic.outer):
-        key = (item[1], item[2])
-        if key in locs:
-            raise ValueError(f"arc end {key} attached twice")
-        locs[key] = (OUTER_DISC, pos)
-    return locs
-
-
 def _check_structure(pic: Picture) -> dict:
-    """_end_locations of a well-formed map, or ValueError naming its first
-    fault in a fixed order.  A map whose discs each start at an arc end and
-    alternate, and whose ends are exactly the arcs' two ends once each, is
-    accepted from whole-map counts; any other goes through the itemised
-    checks, which find the fault or accept the map."""
+    """(arc, end) -> (disc index or OUTER_DISC, boundary position) for a
+    well-formed map, or ValueError naming its first fault in a fixed order.
+    A map whose discs each start at an arc end and alternate, and whose
+    ends are exactly the arcs' two ends once each, is accepted from
+    whole-map counts; any other goes through the itemised checks, which
+    find the fault or accept the map."""
     bounds = [disc.boundary for disc in pic.discs]
     lengths = list(map(len, bounds))
     items = list(chain.from_iterable(bounds))
@@ -149,7 +138,14 @@ def _check_structure(pic: Picture) -> dict:
                 and all(map(locs.__contains__,
                             product(range(n_arcs), (0, 1))))):
             return locs
-    locs = _end_locations(pic)
+    ends = [(_END(it), (di, pos)) for di, b in enumerate(bounds)
+            for pos, it in enumerate(b) if it[0] == ARC]
+    ends += [(_END(it), (OUTER_DISC, pos)) for pos, it in enumerate(outer)]
+    locs = {}
+    for key, loc in ends:
+        if key in locs:
+            raise ValueError(f"arc end {key} attached twice")
+        locs[key] = loc
     for ai, end in locs:
         if end not in (0, 1) or not 0 <= ai < len(pic.arcs):
             raise ValueError(f"{(ai, end)} is not an end of any arc")
@@ -157,8 +153,7 @@ def _check_structure(pic: Picture) -> dict:
         for end in (0, 1):
             if (ai, end) not in locs:
                 raise ValueError(f"arc {ai} end {end} is unattached")
-    for di, disc in enumerate(pic.discs):
-        b = disc.boundary
+    for di, b in enumerate(bounds):
         n_arcs = sum(1 for it in b if it[0] == ARC)
         n_corner = len(b) - n_arcs
         if n_arcs == 0:
@@ -169,7 +164,7 @@ def _check_structure(pic: Picture) -> dict:
             nxt = b[(pos + 1) % len(b)]
             if item[0] == nxt[0]:
                 raise ValueError(f"disc {di} does not alternate arcs and corners")
-    for item in pic.outer:
+    for item in outer:
         if item[0] != ARC:
             raise ValueError("outer boundary may only carry arc ends")
     return locs
@@ -214,10 +209,13 @@ def _walk(pic: Picture, locs: dict):
 def trace_regions(pic: Picture) -> list:
     """Faces of the map; corners are collected walking clockwise from the
     arrival end to the departure end on each disc."""
-    if not pic.discs and not pic.arcs:
-        return []
+    return _regions(pic, _check_structure(pic))
+
+
+def _regions(pic: Picture, locs: dict) -> list:
+    """trace_regions of a map that _check_structure returned `locs` for."""
     regions = []
-    for groups, touches in _walk(pic, _check_structure(pic)):
+    for groups, touches in _walk(pic, locs):
         corners = tuple(c for _, group in groups for c in group)
         label = ()
         for _, _, wd in corners:
@@ -234,10 +232,10 @@ def euler_check(pic: Picture, regions: list) -> bool:
     return v - e + f == 2
 
 
-def _connected(pic: Picture) -> bool:
+def _connected(pic: Picture, locs: dict) -> bool:
+    """Whether the arcs of a checked map join its discs and boundary."""
     if not pic.discs:
         return True
-    locs = _end_locations(pic)
     adj = {i: set() for i in range(len(pic.discs))}
     if pic.outer:
         adj[OUTER_DISC] = set()
@@ -275,9 +273,7 @@ class ValidationReport:
     distinguished_region: Optional[int]
 
     def lines(self) -> list:
-        out = []
-        if self.problems:
-            out.extend(f"problem: {p}" for p in self.problems)
+        out = [f"problem: {p}" for p in self.problems]
         out.append(f"discs: {len(self.discs)}, regions: {len(self.regions)}, "
                    f"connected: {self.connected}, spherical: {self.spherical}")
         for d in self.discs:
@@ -292,16 +288,14 @@ class ValidationReport:
         return out
 
 
-def _relator_letterforms(p, ctx) -> list:
+def _relator_letterforms(p) -> list:
     # relators keep their written shape: reduction here is syntactic only
     # (a coefficient letter that happens to be trivial in G still counts),
     # while coefficient comparisons against corners go through the oracle
     forms = []
     for rel in p.relators:
-        red = cyclically_reduce(rel, None)
-        lf = letter_form(red)
-        forms.append(lf)
-        forms.append(invert_letter_form(lf))
+        lf = letter_form(cyclically_reduce(rel, None))
+        forms += (lf, invert_letter_form(lf))
     return forms
 
 
@@ -317,18 +311,19 @@ def validate_picture(pic: Picture, p, ctx) -> ValidationReport:
     """
     problems = []
     try:
-        regions = trace_regions(pic)
+        locs = _check_structure(pic)
     except ValueError as err:
         untraced = tuple(DiscCheck(di, TriState.UNKNOWN, "(map not traced)")
                          for di in range(len(pic.discs)))
         return ValidationReport(False, (str(err),), untraced, (), False,
                                 pic.spherical, TriState.NO, None)
-    connected = _connected(pic)
+    regions = _regions(pic, locs)
+    connected = _connected(pic, locs)
     if not connected:
         problems.append("picture is not connected")
     if (pic.discs or pic.arcs) and not euler_check(pic, regions):
         problems.append("rotation system is not planar (Euler check failed)")
-    forms = _relator_letterforms(p, ctx)
+    forms = _relator_letterforms(p)
     disc_checks = []
     for di, disc in enumerate(pic.discs):
         # the disc's clockwise reading from its first arc end
@@ -370,7 +365,6 @@ def validate_picture(pic: Picture, p, ctx) -> ValidationReport:
                 "one (the distinguished region) is allowed")
         elif len(nontrivial) == 1:
             distinguished = nontrivial[0]
-            strictly = TriState.NO
         else:
             distinguished = checked_regions[0].index if checked_regions else None
             strictly = TriState.UNKNOWN if undecided_regions else TriState.YES
@@ -406,9 +400,6 @@ def find_dipole(pic: Picture, p, ctx) -> Optional[Dipole]:
     traced one at a time and the search stops at the first dipole, so no
     region label is formed.
     """
-    if not pic.discs and not pic.arcs:
-        _end_locations(pic)  # the boundary circle alone may repeat an end
-        return None
     for ri, (groups, _) in enumerate(_walk(pic, _check_structure(pic))):
         # a dart's flanking corners are the last of the group before it and
         # the first of its own: one corner each on the discs it leaves and
@@ -438,7 +429,7 @@ def cancel_dipole(pic: Picture, d: Dipole) -> Picture:
             if it[0] == ARC]
     ends += map(_END, pic.outer)
     if len(set(ends)) != len(ends):
-        _end_locations(pic)  # raises, naming the first end attached twice
+        _check_structure(pic)  # raises, naming the first end attached twice
     disc_a = d.corner_a[0]
     disc_b = d.corner_b[0]
     if disc_a == disc_b:
@@ -574,12 +565,9 @@ class AngleFunction:
 def standard_angles(pic: Picture) -> AngleFunction:
     """Corners in degree-2 regions get 0; each disc's remaining corners
     share 2*pi equally."""
-    regions = trace_regions(pic)
-    zero = set()
-    for r in regions:
-        if r.degree == 2 and not r.touches_boundary:
-            for disc, pos, _ in r.corners:
-                zero.add((disc, pos))
+    zero = {(disc, pos) for r in trace_regions(pic)
+            if r.degree == 2 and not r.touches_boundary
+            for disc, pos, _ in r.corners}
     angles = {}
     for di, disc in enumerate(pic.discs):
         corner_pos = [pos for pos, it in enumerate(disc.boundary)
@@ -603,13 +591,13 @@ def curvature(pic: Picture, angles: AngleFunction):
     """
     if not pic.spherical:
         raise ValueError("curvature requires a spherical picture")
-    if not _connected(pic):
+    locs = _check_structure(pic)
+    if not _connected(pic, locs):
         raise ValueError("curvature requires a connected picture")
     angles.validate(pic)
-    regions = trace_regions(pic)
     per_region = {}
     total = Fraction(0)
-    for r in regions:
+    for r in _regions(pic, locs):
         c = Fraction(2)
         for disc, pos, _ in r.corners:
             c -= 1 - angles.at(disc, pos)
@@ -649,6 +637,13 @@ def picture_to_json(pic: Picture, presentation_text: Optional[str] = None) -> st
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _arc_end(item: dict) -> tuple:
+    ai, end = item["arc"], item["end"]
+    if type(ai) is not int or type(end) is not int:
+        raise ValueError(f"arc end {(ai, end)!r}: arc and end must be integers")
+    return ARC, ai, end
+
+
 def picture_from_json(text: str, presentation=None):
     """Returns (Picture, presentation): `presentation` when given, else the
     embedded one, else None.
@@ -665,7 +660,7 @@ def picture_from_json(text: str, presentation=None):
     try:
         arcs = tuple(Arc(a["label"], a["orient"]) for a in data["arcs"])
         for ai, arc in enumerate(arcs):
-            if arc.orient not in (1, -1):
+            if type(arc.orient) is not int or arc.orient not in (1, -1):
                 raise ValueError(f"arc {ai}: orient must be 1 or -1, "
                                  f"not {arc.orient!r}")
         if "presentation" in data:
@@ -677,12 +672,12 @@ def picture_from_json(text: str, presentation=None):
             items = []
             for item in d["boundary"]:
                 if "arc" in item:
-                    items.append((ARC, item["arc"], item["end"]))
+                    items.append(_arc_end(item))
                 else:
                     items.append((CORNER, parse_word(
                         item["corner"], gens, f"disc {di} corner: ")))
             discs.append(Disc(tuple(items)))
-        outer = tuple((ARC, it["arc"], it["end"]) for it in data.get("outer", ()))
+        outer = tuple(map(_arc_end, data.get("outer", ())))
     except KeyError as err:
         raise ValueError(f"picture lacks the key {err}") from None
     except (TypeError, AttributeError) as err:

@@ -100,50 +100,30 @@ def build_star_graph(p: RelativePresentation) -> StarGraph:
                 "presentation is non-orientable")
         letters = letter_form(red)
         n = len(letters)
-        inv = invert_letter_form(letters)
         base = len(edges)
-        for rot in range(n):
-            # rotation starting at letter `rot`: S ends with letter rot-1
-            first = letters[rot]
-            last = letters[(rot - 1) % n]
-            edges.append({
-                "source": (first[0], first[1]),
-                "target": (last[0], -last[1]),
-                "label": winv(last[2]),
-                "origin": (ri, rot, 1),
-            })
-        for rot in range(n):
-            first = inv[rot]
-            last = inv[(rot - 1) % n]
-            edges.append({
-                "source": (first[0], first[1]),
-                "target": (last[0], -last[1]),
-                "label": winv(last[2]),
-                "origin": (ri, rot, -1),
-            })
         # rotation r of the relator pairs with the rotation of the inverse
         # that starts with the inverse of letter r-1 (S g <-> S^-1 g^-1);
         # in inverse-letter indexing that is position n-r mod n
-        for rot in range(n):
-            j = (n - rot) % n
-            edges[base + rot]["partner"] = base + n + j
-            edges[base + n + j]["partner"] = base + rot
-    out = tuple(
-        StarEdge(eid, d["source"], d["target"], d["label"], d["origin"], d["partner"])
-        for eid, d in enumerate(edges))
-    for e in out:
-        q = out[e.partner]
+        for sign, form, mate in ((1, letters, base + n),
+                                 (-1, invert_letter_form(letters), base)):
+            for rot in range(n):
+                # rotation starting at letter `rot`: S ends with letter rot-1
+                first, last = form[rot], form[rot - 1]
+                edges.append(StarEdge(
+                    len(edges), (first[0], first[1]), (last[0], -last[1]),
+                    winv(last[2]), (ri, rot, sign), mate + (n - rot) % n))
+    leaving = {}
+    for e in edges:
+        q = edges[e.partner]
         if not (q.partner == e.eid and q.source == e.target
                 and q.target == e.source):
             raise RuntimeError(f"edge {e.eid} and its partner {q.eid} "
                                "do not form an inverse pair")
-    leaving = {}
-    for e in out:
         leaving.setdefault(e.source, []).append(e.eid)
     successors = tuple(
         tuple(f for f in leaving.get(e.target, ()) if f != e.partner)
-        for e in out)
-    return StarGraph(p, vertices, out, successors)
+        for e in edges)
+    return StarGraph(p, vertices, tuple(edges), successors)
 
 
 def _canonical_cycle(edge_ids: tuple, graph: StarGraph) -> tuple:
@@ -399,7 +379,7 @@ def min_admissible_cycle_weight(graph: StarGraph, theta: dict, ctx,
     return Fraction(r[0], den), _canonical_cycle(r[1], graph)
 
 
-def to_dot(graph: StarGraph, theta: Optional[dict] = None) -> str:
+def to_dot(graph: StarGraph) -> str:
     """DOT export; one undirected edge per involution pair."""
 
     def vname(v):
@@ -411,10 +391,7 @@ def to_dot(graph: StarGraph, theta: Optional[dict] = None) -> str:
     for e in graph.edges:
         if e.eid > e.partner:
             continue
-        attrs = [f'label="{word_str(e.label)}"']
-        if theta is not None:
-            attrs.append(f'weight="{theta[e.eid]}"')
-        lines.append(
-            f'  {vname(e.source)} -- {vname(e.target)} [{", ".join(attrs)}];')
+        lines.append(f'  {vname(e.source)} -- {vname(e.target)} '
+                     f'[label="{word_str(e.label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

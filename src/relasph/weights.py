@@ -242,7 +242,7 @@ def _candidate_values(denominator_bound: int) -> list:
 
 
 def search_weight_function(graph: StarGraph, ctx, denominator_bound: int = 3,
-                           bound: int = 6, mode: str = "weak",
+                           bound: int = 6,
                            max_candidates: int = 200_000) -> SearchResult:
     """Backtracking search for a passing weight function.
 
@@ -253,11 +253,12 @@ def search_weight_function(graph: StarGraph, ctx, denominator_bound: int = 3,
     negative-cycle test, and the query for an admissible cycle of weight
     below 2L on the product graph, which is built once per search.  Over a
     finite enumerable group that decides what check_weight_function does
-    in either mode, as a negative cycle fails both.  Over any other group
-    condition (II) gets only a bounded search, which never certifies, so
-    no candidate can pass; candidates are still counted, never checked.
-    The returned function is re-verified with check_weight_function.  A
-    None result is not a proof that no weight function exists.
+    in either mode, as a negative cycle fails both, so the search takes no
+    mode and re-verifies what it returns in the full one.  Over any other
+    group condition (II) gets only a bounded search, which never
+    certifies, so no candidate can pass; candidates are still counted,
+    never checked.  A None result is not a proof that no weight function
+    exists.
     """
     pairs = graph.pair_ids()
     if len(pairs) > 16:
@@ -310,6 +311,6 @@ def search_weight_function(graph: StarGraph, ctx, denominator_bound: int = 3,
     if not rec(0):
         return SearchResult(None, tried >= max_candidates, tried)
     found = WeightFunction({pid: values[chosen[i]] for i, pid in enumerate(pairs)})
-    if not check_weight_function(graph, found, ctx, mode=mode, bound=bound).passes():
+    if not check_weight_function(graph, found, ctx, mode="full", bound=bound).passes():
         raise RuntimeError("search result fails check_weight_function")
     return SearchResult(found, False, tried)

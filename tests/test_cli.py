@@ -295,13 +295,40 @@ def test_picture_malformed_file_exits_2(fixtures_dir, tmp_path, capsys,
     assert err.startswith(error) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("path,value,error", [
+    (("discs", 0, "boundary", 0, "arc"), "a", "must be integers"),
+    (("discs", 0, "boundary", 0, "arc"), None, "must be integers"),
+    (("discs", 0, "boundary", 0, "arc"), [0], "must be integers"),
+    (("discs", 0, "boundary", 0, "arc"), 1.0, "must be integers"),
+    (("discs", 0, "boundary", 0, "end"), {}, "must be integers"),
+    (("arcs", 0, "orient"), True, "orient must be 1 or -1, not True"),
+], ids=("string-arc", "null-arc", "list-arc", "float-arc", "object-end",
+        "boolean-orient"))
+def test_picture_json_types_exit_2(fixtures_dir, tmp_path, capsys, path,
+                                   value, error):
+    data = json.loads((fixtures_dir / "fig2.json").read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    f = tmp_path / "pic.json"
+    f.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "picture", str(f), "--reduce", "--curvature")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and error in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("mangle,args,summary", [
     (lambda d: d["discs"][0]["boundary"].__setitem__(0, {"arc": 2, "end": 1}),
      ("--reduce", "--curvature"),
      "discs: 4, regions: 0, connected: False, spherical: True"),
     (lambda d: d.__setitem__("discs", []), ("--reduce", "--curvature"),
      "discs: 0, regions: 0, connected: False, spherical: False"),
-], ids=("end-at-wrong-arc", "no-discs"))
+    (lambda d: d.update(discs=[], arcs=[], outer=[{"arc": 0, "end": 0}] * 2),
+     ("--reduce",),
+     "discs: 0, regions: 0, connected: False, spherical: False"),
+], ids=("end-at-wrong-arc", "no-discs", "empty-map-repeated-end"))
 def test_picture_broken_map_exits_2(fixtures_dir, tmp_path, capsys, mangle,
                                     args, summary):
     data = json.loads((fixtures_dir / "fig2.json").read_text())

@@ -127,6 +127,19 @@ def test_empty_picture(fig1a):
     assert find_dipole(empty, pres, ctx) is None
 
 
+def test_empty_map_with_a_stray_end_is_rejected(fig1a):
+    # no discs and no arcs, yet the boundary circle names an end of arc 5
+    _, pres, ctx = fig1a
+    stray = Picture((), (), ((ARC, 5, 0),))
+    with pytest.raises(ValueError, match="not an end of any arc"):
+        trace_regions(stray)
+    with pytest.raises(ValueError, match="not an end of any arc"):
+        find_dipole(stray, pres, ctx)
+    report = validate_picture(stray, pres, ctx)
+    assert not report.ok
+    assert report.problems == ("(5, 0) is not an end of any arc",)
+
+
 def test_invalid_corner_word_detected(fig2):
     pic, pres, ctx = fig2
     bad_discs = list(pic.discs)
@@ -165,6 +178,16 @@ def test_fig2_standard_angle_curvature(fig2):
     deg2 = [r.index for r in regions if r.degree == 2]
     for ri in deg2:
         assert per[ri] == 0  # degree-2 regions are flat under standard angles
+
+
+def test_curvature_checks_the_map(fig2):
+    # a seventh arc that no disc uses: the map check names it before the
+    # connectivity test looks its ends up
+    pic, _, _ = fig2
+    angles = standard_angles(pic)
+    loose = Picture(pic.discs, pic.arcs + (Arc("x", 1),), pic.outer)
+    with pytest.raises(ValueError, match="^arc 6 end 0 is unattached$"):
+        curvature(loose, angles)
 
 
 def test_curvature_formula_values():
@@ -630,13 +653,15 @@ def test_broken_maps_raise_as_the_frozen_reference(fig1a):
                  _outcome(_ref_find_dipole, broken, pres, ctx))):
             assert got == want
             assert got[0] == "ValueError" and message in got[1], got
-    # a map of no discs and no arcs traces to no regions, yet the dipole
-    # search still rejects a boundary circle that repeats an end
+    # a map of no discs and no arcs goes through the same check, so a
+    # boundary circle that repeats an end is rejected by every reader
     empty = Picture((), (), ((ARC, 0, 0), (ARC, 0, 0)))
-    assert trace_regions(empty) == _ref_trace_regions(empty) == []
     got = _outcome(find_dipole, empty, pres, ctx)
     assert got == _outcome(_ref_find_dipole, empty, pres, ctx)
     assert got == ("ValueError", "arc end (0, 0) attached twice")
+    assert _outcome(trace_regions, empty) == got
+    report = validate_picture(empty, pres, ctx)
+    assert not report.ok and report.problems == (got[1],)
 
 
 def test_bad_dipoles_raise_as_the_frozen_reference(fig1a):

@@ -514,5 +514,3 @@ def test_dot_export():
     dot = to_dot(graph)
     assert dot.startswith("graph stargraph {")
     assert "x_bar" in dot and 'label="' in dot
-    theta = {pid: Fraction(1, 2) for pid in graph.pair_ids()}
-    assert 'weight="1/2"' in to_dot(graph, theta)

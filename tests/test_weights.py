@@ -187,7 +187,7 @@ def test_search_returns_verified_function():
     w = fpw(xsyl("x", 2), csyl((("t", 1),)), xsyl("x", -1), csyl((("t", 5),)))
     graph = build_star_graph(RelativePresentation(G, ("x",), (w,)))
     ctx = context_for(G, 1000)
-    res = search_weight_function(graph, ctx, denominator_bound=2, mode="weak")
+    res = search_weight_function(graph, ctx, denominator_bound=2)
     if res.found is not None:
         report = check_weight_function(graph, res.found, ctx)
         assert report.passes()
@@ -258,9 +258,9 @@ def _frozen_search(graph, ctx, denominator_bound, bound, mode, max_candidates):
 
 def test_search_matches_frozen_search():
     """The integer search visits the candidates of the former search in
-    the same order and gives the same (found, tried, capped), on seeded
-    templates over Z_n in weak and full mode, at denominator bounds 2 and
-    3, and on a free group, where no candidate can pass."""
+    the same order and gives the same (found, tried, capped) as it did in
+    both weak and full mode, on seeded templates over Z_n at denominator
+    bounds 2 and 3, and on a free group, where no candidate can pass."""
     rng = random.Random(20261019)
     outcomes = set()
     for _ in range(24):
@@ -273,21 +273,21 @@ def test_search_matches_frozen_search():
         graph = build_star_graph(RelativePresentation(G, ("x",), (w,)))
         ctx = context_for(G, 1000)
         for denominator_bound in (2, 3):
+            res = search_weight_function(graph, ctx, denominator_bound, 6,
+                                         max_candidates=300)
+            got = (None if res.found is None else res.found.weights,
+                   res.tried, res.capped)
             for mode in ("weak", "full"):
                 want = _frozen_search(graph, ctx, denominator_bound, 6, mode, 300)
-                res = search_weight_function(graph, ctx, denominator_bound, 6,
-                                             mode, max_candidates=300)
-                got = (None if res.found is None else res.found.weights,
-                       res.tried, res.capped)
                 assert got == want, (n, l, k, a, b, denominator_bound, mode)
-                outcomes.add("found" if got[0] is not None
-                             else "capped" if got[2] else "exhausted")
+            outcomes.add("found" if got[0] is not None
+                         else "capped" if got[2] else "exhausted")
     assert outcomes == {"found", "capped", "exhausted"}
     G = free_group("g", "h")
     w = fpw(xsyl("x", 2), csyl((("g", 1),)), xsyl("x", -1), csyl((("h", 1),)))
     graph = build_star_graph(RelativePresentation(G, ("x",), (w,)))
     ctx = context_for(G, 1000)
-    res = search_weight_function(graph, ctx, 3, 4, "weak", max_candidates=12)
+    res = search_weight_function(graph, ctx, 3, 4, max_candidates=12)
     assert (None, res.tried, res.capped) == \
         _frozen_search(graph, ctx, 3, 4, "weak", 12) == (None, 12, True)
 
