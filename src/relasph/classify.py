@@ -25,7 +25,6 @@ only from theorems that actually prove reducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
@@ -46,6 +45,7 @@ from .words import (
     RelativePresentation,
     TriState,
     UndecidedError,
+    Validated,
     Word,
     X,
     csyl,
@@ -121,8 +121,16 @@ def order_in_open_range(o: OrderResult, low: int) -> TriState:
 # instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LengthFourInstance:
+class _LengthFourInstance(NamedTuple):
+    G: CoefficientGroup
+    g: Word
+    h: Word
+    l: int
+    k: int
+    x: str = "x"
+
+
+class LengthFourInstance(Validated, _LengthFourInstance):
     """<G, x | x^l g x^k h> with g, h nontrivial, l > 0, k != 0.
 
     `normalized()` rewrites to an equivalent instance with l >= |k| using
@@ -131,18 +139,12 @@ class LengthFourInstance:
     defined group and the asphericity/reducibility status.
     """
 
-    G: CoefficientGroup
-    g: Word
-    h: Word
-    l: int
-    k: int
-    x: str = "x"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.l <= 0 or self.k == 0:
+    def __new__(cls, G, g, h, l, k, x="x"):
+        if l <= 0 or k == 0:
             raise ValueError("need l > 0 and k != 0")
-        object.__setattr__(self, "g", tuple(self.g))
-        object.__setattr__(self, "h", tuple(self.h))
+        return tuple.__new__(cls, (G, tuple(g), tuple(h), l, k, x))
 
     def relator(self) -> FreeProductWord:
         return fpw(xsyl(self.x, self.l), csyl(self.g),
@@ -201,8 +203,7 @@ def instance_from_presentation(p: RelativePresentation,
 POWERS = (2, -2, 3, -3, 4)
 
 
-@dataclass(frozen=True, slots=True)
-class Side:
+class Side(NamedTuple):
     power: MappingProxyType  # p -> TriState of a = b^p, for p in POWERS
     oa: OrderResult  # |a|
     ob: OrderResult  # |b|
@@ -219,8 +220,7 @@ def _side(ctx, a: Word, b: Word, oa: OrderResult, ob: OrderResult) -> Side:
                 oa, ob)
 
 
-@dataclass(frozen=True)
-class CaseFlags:
+class CaseFlags(NamedTuple):
     values: dict  # name -> TriState, over CASE_NAMES + EXCEPTIONAL_NAMES
     og: OrderResult
     oh: OrderResult
@@ -422,8 +422,7 @@ def row_key(l: int, k: int) -> Optional[str]:
 # verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CaseVerdict:
+class CaseVerdict(NamedTuple):
     dr: TriState
     aspherical: TriState
     justification: str
@@ -770,15 +769,13 @@ def classify_presentation(p: RelativePresentation, cap: int = DEFAULT_CAP):
 ORDER_VS_G_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(NamedTuple):
     name: str
     status: str  # 'ok' | 'fatal' | 'skipped'
     detail: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: tuple
 
     @property
@@ -861,8 +858,7 @@ def verify_verdict(inst: Optional[LengthFourInstance], verdict: CaseVerdict,
 # fixture catalog: the resolved table entries as concrete instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     case: str
     n: int  # cyclic coefficient order

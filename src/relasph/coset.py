@@ -33,15 +33,15 @@ Theory", chapter 5.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .words import (
     CoefficientGroup,
     OrderResult,
     RelativePresentation,
     TriState,
+    Validated,
     Word,
     X,
     cyclic_word_reduce,
@@ -59,20 +59,23 @@ MAX_CAP = (1 << (8 * _INT - 1)) - 2
 _CHUNK = 1 << 10
 
 
-@dataclass(frozen=True)
-class LiftedPresentation:
+class _LiftedPresentation(NamedTuple):
+    generators: tuple
+    relators: tuple  # Word tuples
+
+
+class LiftedPresentation(Validated, _LiftedPresentation):
     """Ordinary presentation on coefficient generators plus x-generators.
 
     Relative relators are flattened into plain words; the presented group
     is isomorphic to the group defined by the relative presentation.
     """
 
-    generators: tuple
-    relators: tuple  # Word tuples
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "relators",
-                           tuple(free_reduce(r) for r in self.relators))
+    def __new__(cls, generators, relators):
+        return tuple.__new__(
+            cls, (generators, tuple(free_reduce(r) for r in relators)))
 
 
 def lift(p: RelativePresentation) -> LiftedPresentation:

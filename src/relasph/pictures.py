@@ -38,11 +38,10 @@ boundaries to renumber them.  The walk exists once, in `_walk`;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product, repeat
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .words import (
     ParseError,
@@ -63,8 +62,7 @@ ARC = "arc"
 CORNER = "corner"
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     label: str
     orient: int  # +1 or -1
 
@@ -72,13 +70,11 @@ class Arc:
         return self.orient if end == 0 else -self.orient
 
 
-@dataclass(frozen=True)
-class Disc:
+class Disc(NamedTuple):
     boundary: tuple  # (ARC, arc_id, end) and (CORNER, word) items, clockwise
 
 
-@dataclass(frozen=True)
-class Picture:
+class Picture(NamedTuple):
     discs: tuple
     arcs: tuple
     outer: tuple = ()  # (ARC, arc_id, end) items on the boundary circle
@@ -88,8 +84,7 @@ class Picture:
         return len(self.discs) >= 1 and not self.outer
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     index: int
     items: tuple  # alternating (dart, corners) groups; dart = (arc_id, dir)
     corners: tuple  # ((disc, position, word), ...) in trace order
@@ -99,8 +94,7 @@ class Region:
     label_trivial: TriState
 
 
-@dataclass(frozen=True)
-class Dipole:
+class Dipole(NamedTuple):
     arc: int
     region: int
     corner_a: tuple  # (disc, position, word)
@@ -254,15 +248,13 @@ def _connected(pic: Picture, locs: dict) -> bool:
     return len(seen) == len(adj)
 
 
-@dataclass(frozen=True)
-class DiscCheck:
+class DiscCheck(NamedTuple):
     disc: int
     ok: TriState
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     problems: tuple
     discs: tuple  # DiscCheck per disc
@@ -549,14 +541,18 @@ class AngleFunction:
         self.angles = {k: Fraction(v) for k, v in angles.items()}
 
     def at(self, disc: int, pos: int) -> Fraction:
-        return self.angles[(disc, pos)]
+        angle = self.angles.get((disc, pos))
+        if angle is None:
+            raise ValueError(f"no angle at the corner of disc {disc}, "
+                             f"position {pos}")
+        return angle
 
     def validate(self, pic: Picture) -> None:
         for di, disc in enumerate(pic.discs):
             total = Fraction(0)
             for pos, item in enumerate(disc.boundary):
                 if item[0] == CORNER:
-                    total += self.angles[(di, pos)]
+                    total += self.at(di, pos)
             if total != 2:
                 raise ValueError(
                     f"angles at disc {di} sum to {total} pi, need 2 pi")

@@ -24,10 +24,9 @@ cycle at that edge and never walks a rotation or an inversion of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .words import (
     RelativePresentation,
@@ -42,8 +41,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class StarEdge:
+class StarEdge(NamedTuple):
     eid: int
     source: tuple  # (letter, +1 | -1)
     target: tuple
@@ -52,14 +50,13 @@ class StarEdge:
     partner: int  # eid of the inverse edge
 
 
-@dataclass(frozen=True)
-class StarGraph:
+class StarGraph(NamedTuple):
     presentation: RelativePresentation
     vertices: tuple  # all (letter, +-1), the full set x union x^-1
     edges: tuple  # StarEdge, oriented; involution pairs via .partner
     # per edge e, the ids of the edges a cyclically reduced path may take
     # after e: those out of e's target except e's partner, in id order
-    successors: tuple = field(repr=False, compare=False)
+    successors: tuple
 
     def pair_id(self, eid: int) -> int:
         return min(eid, self.edges[eid].partner)
@@ -74,8 +71,7 @@ class StarGraph:
                 if e.origin[0] == relator_index and e.origin[2] == 1]
 
 
-@dataclass(frozen=True)
-class AdmissibleCycle:
+class AdmissibleCycle(NamedTuple):
     edge_ids: tuple
     label: Word
     status: str  # 'admissible' | 'possibly-admissible'
@@ -242,8 +238,7 @@ def has_negative_cycle(graph: StarGraph, theta: dict) -> bool:
     return _negative_cycle(graph.successors, _integer_weights(graph, theta)[0])
 
 
-@dataclass(frozen=True)
-class ProductGraph:
+class ProductGraph(NamedTuple):
     """The star graph times the regular representation of a finite G.
 
     It does not depend on the weights, so one build serves every weight
@@ -254,10 +249,10 @@ class ProductGraph:
     graph: StarGraph
     width: int  # |G| + 1
     # step[f][c]: the state reached from coset c along edge f
-    step: tuple = field(repr=False)
+    step: tuple
     # closing[s]: the states that close a cycle rooted at edge s, those of
     # the edges into s's tail other than s's partner, at coset 1
-    closing: tuple = field(repr=False)
+    closing: tuple
 
 
 def product_graph(graph: StarGraph, table) -> ProductGraph:

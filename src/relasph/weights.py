@@ -29,10 +29,9 @@ as NotCertified, never as a pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .stargraph import (
     NegativeCycleError,
@@ -43,21 +42,25 @@ from .stargraph import (
     min_admissible_cycle_weight,
     product_graph,
 )
+from .words import Validated
 
 CERTIFIED = "certified"
 VIOLATED = "violated"
 NOT_CERTIFIED = "not-certified"
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Rational weights per edge pair, keyed by the pair's smaller edge id."""
-
+class _WeightFunction(NamedTuple):
     weights: dict
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "weights", {k: Fraction(v) for k, v in self.weights.items()})
+
+class WeightFunction(Validated, _WeightFunction):
+    """Rational weights per edge pair, keyed by the pair's smaller edge id."""
+
+    __slots__ = ()
+
+    def __new__(cls, weights):
+        return tuple.__new__(
+            cls, ({k: Fraction(v) for k, v in weights.items()},))
 
     def of_edge(self, graph: StarGraph, eid: int) -> Fraction:
         return self.weights[graph.pair_id(eid)]
@@ -97,15 +100,13 @@ class WeightFunction:
             raise ValueError(f"weight function not total: missing pairs {missing}")
 
 
-@dataclass(frozen=True)
-class ConditionIResult:
+class ConditionIResult(NamedTuple):
     relator: int
     total: Fraction
     ok: bool
 
 
-@dataclass(frozen=True)
-class ConditionIIResult:
+class ConditionIIResult(NamedTuple):
     status: str  # certified | violated | not-certified
     min_weight: Optional[Fraction] = None  # None with violated = unbounded below
     witness: Optional[tuple] = None  # edge ids of a violating admissible cycle
@@ -113,8 +114,7 @@ class ConditionIIResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     condition_I: tuple  # ConditionIResult per relator
     condition_II: ConditionIIResult
     nonneg_cycles: str  # 'pass' | 'fail' | 'not-checked'
@@ -216,8 +216,7 @@ def check_weight_function(graph: StarGraph, theta: WeightFunction, ctx,
     return WeightReport(cond1, cond2, nonneg, mode)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     found: Optional[WeightFunction]
     capped: bool
     tried: int

@@ -14,11 +14,10 @@ words and x-generator powers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class TriState(Enum):
@@ -38,8 +37,19 @@ class UndecidedError(Exception):
     """A word-problem query exceeded the oracle budget."""
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class Validated:
+    """Mixin for a NamedTuple subclass whose `__new__` normalises or
+    validates its fields: NamedTuple's `_make`, and `_replace` through it,
+    build the record with that `__new__` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class OrderResult(NamedTuple):
     """Outcome of an order computation.
 
     ``finite`` results are exact.  ``unknown`` means the enumeration budget
@@ -129,23 +139,24 @@ def word_str(w: Word) -> str:
 # coefficient groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientGroup:
+class _CoefficientGroup(NamedTuple):
+    generators: tuple
+    relators: tuple
+
+
+class CoefficientGroup(Validated, _CoefficientGroup):
     """A finitely presented coefficient group.
 
     Relators are stored freely and cyclically reduced (reduction here is
     syntactic; it does not use group identities).
     """
 
-    generators: tuple
-    relators: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        rels = tuple(cyclic_word_reduce(free_reduce(r)) for r in self.relators)
-        rels = tuple(r for r in rels if r)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "relators", rels)
+    def __new__(cls, generators, relators):
+        rels = (cyclic_word_reduce(free_reduce(r)) for r in relators)
+        return tuple.__new__(cls, (tuple(generators),
+                                   tuple(r for r in rels if r)))
 
     def free_factors(self) -> Optional[dict]:
         """Map generator -> modulus when this group is visibly a free
@@ -192,8 +203,7 @@ X = "x"  # syllable tags
 C = "c"
 
 
-@dataclass(frozen=True)
-class FreeProductWord:
+class FreeProductWord(NamedTuple):
     """A word in G * F(x): syllables are ('x', letter, exp) or ('c', word).
 
     Raw parser output may violate alternation; `reduce` and
@@ -269,17 +279,16 @@ def cyclically_reduce(w: FreeProductWord, ctx=None) -> FreeProductWord:
     survive) so that it starts with an x-syllable.  Coefficient triviality
     is decided by `ctx`.
     """
-    w = reduce_fpw(w, ctx)
-    while len(w.syllables) >= 2 and w.syllables[0][0] == w.syllables[-1][0]:
-        first, last = w.syllables[0], w.syllables[-1]
-        body = w.syllables[1:-1]
-        # rotate the final syllable to the front and re-reduce
-        w = reduce_fpw(FreeProductWord((last, first) + body), ctx)
-    syls = w.syllables
+    syls = reduce_fpw(w, ctx).syllables
+    # rotate the final syllable to the front while it merges with the
+    # first: two coefficient syllables, or two x-syllables of one letter
+    while len(syls) >= 2 and syls[0][0] == syls[-1][0] and (
+            syls[0][0] == C or syls[0][1] == syls[-1][1]):
+        syls = reduce_fpw(FreeProductWord(syls[-1:] + syls[:-1]), ctx).syllables
     for i, s in enumerate(syls):
         if s[0] == X:
             return FreeProductWord(syls[i:] + syls[:i])
-    return w
+    return FreeProductWord(syls)
 
 
 def free_product_length(w: FreeProductWord) -> int:
@@ -407,24 +416,27 @@ def cyclic_letters_conjugate(a, b, ctx=None) -> TriState:
 # relative presentations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelativePresentation:
+class _RelativePresentation(NamedTuple):
     coeff: CoefficientGroup
     x_gens: tuple
     relators: tuple  # FreeProductWord, raw or reduced
 
-    def __post_init__(self):
-        clash = set(self.x_gens) & set(self.coeff.generators)
+
+class RelativePresentation(Validated, _RelativePresentation):
+    __slots__ = ()
+
+    def __new__(cls, coeff, x_gens, relators):
+        clash = set(x_gens) & set(coeff.generators)
         if clash:
             raise ValueError(f"x-generators clash with coefficient generators: {sorted(clash)}")
-        for r in self.relators:
+        for r in relators:
             for s in r.syllables:
-                if s[0] == X and s[1] not in self.x_gens:
+                if s[0] == X and s[1] not in x_gens:
                     raise ValueError(f"unknown x-generator {s[1]!r} in relator")
+        return tuple.__new__(cls, (coeff, x_gens, relators))
 
 
-@dataclass(frozen=True)
-class OrientabilityResult:
+class OrientabilityResult(NamedTuple):
     status: TriState
     witness: str = ""
 
@@ -468,8 +480,7 @@ def is_orientable(p: RelativePresentation, ctx=None) -> OrientabilityResult:
 # mu
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MuValue:
+class MuValue(NamedTuple):
     value: Fraction
     lower_bound_only: bool
     orders: tuple  # OrderResult for |g|, |h|, |g h^-1|

@@ -183,6 +183,21 @@ def test_stargraph_dot(capsys):
     assert "x_bar" in out
 
 
+def test_stargraph_of_a_relator_ending_in_another_letter(tmp_path):
+    # the relator starts and ends with x-syllables of different letters,
+    # which never merge: cyclic reduction used to rotate it forever
+    f = tmp_path / "xy.txt"
+    f.write_text("group <g | g^2>; x, y; rel x y^-3")
+    env = dict(os.environ, PYTHONPATH=str(Path(relasph.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "relasph", "stargraph",
+                           str(f)], capture_output=True, text=True, env=env,
+                          timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[5:9] == [
+        '  x -- y [label="1"];', '  y_bar -- x_bar [label="1"];',
+        '  y_bar -- y [label="1"];', '  y_bar -- y [label="1"];']
+
+
 def test_weighttest_file(tmp_path, capsys):
     f = tmp_path / "p.txt"
     f.write_text("group <g | g^2>; x; rel x^3 g")

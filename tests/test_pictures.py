@@ -190,6 +190,20 @@ def test_curvature_checks_the_map(fig2):
         curvature(loose, angles)
 
 
+def test_missing_angle_names_its_corner(fig2):
+    pic, _, _ = fig2
+    missing = "^no angle at the corner of disc 0, position 1$"
+    with pytest.raises(ValueError, match=missing):
+        curvature(pic, AngleFunction({}))
+    with pytest.raises(ValueError, match=missing):
+        AngleFunction({}).at(0, 1)
+    angles = standard_angles(pic).angles
+    del angles[(2, 3)]
+    with pytest.raises(ValueError, match="^no angle at the corner of disc 2, "
+                                         "position 3$"):
+        AngleFunction(angles).validate(pic)
+
+
 def test_curvature_formula_values():
     assert curvature_formula([3] * 6) == 0
     assert curvature_formula([3] * 3) == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from relasph.stargraph import (
 from relasph.weights import _candidate_values
 from relasph.words import (
     C,
+    X,
     RelativePresentation,
     TriState,
     csyl,
@@ -29,6 +31,7 @@ from relasph.words import (
     cyclically_reduce,
     fpw,
     free_group,
+    letter_form,
     parse_presentation,
     winv,
     wmul,
@@ -168,6 +171,54 @@ def test_relator_in_coefficient_group_rejected():
     p = RelativePresentation(cyclic(4), ("x",), (fpw(csyl((("g", 1),))),))
     with pytest.raises(ValueError, match="non-orientable"):
         build_star_graph(p)
+
+
+def _no_hang(signum, frame):
+    raise TimeoutError("cyclic reduction did not return")
+
+
+def test_star_graphs_of_random_presentations_are_built():
+    """Every relator of a seeded sample of presentations with one or two
+    x-generators reduces, within an alarm, to a cyclically reduced word
+    that starts with an x-syllable: its last syllable cannot merge with
+    its first.  Relators that start and end with x-syllables of different
+    letters, which cyclic reduction once rotated forever, are among them."""
+    rng = random.Random(20261020)
+    groups = ("<g | g^2>", "<g | g^5>", "<g, h | >", "<g, h | g^2, h^3>")
+    outcomes = {"built": 0, "rejected": 0, "mixed ends": 0}
+    previous = signal.signal(signal.SIGALRM, _no_hang)
+    signal.alarm(60)
+    try:
+        for _ in range(600):
+            group = rng.choice(groups)
+            gens = ["g", "h"] if "h" in group else ["g"]
+            x_gens = rng.choice((["x"], ["x", "y"]))
+            rels = ["rel " + " ".join(
+                f"{rng.choice(gens + x_gens)}^{rng.choice((-2, -1, 1, 3))}"
+                for _ in range(rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 2))]
+            p = parse_presentation(
+                f"group {group}; {', '.join(x_gens)}; {'; '.join(rels)}")
+            try:
+                graph = build_star_graph(p)
+            except ValueError as err:
+                assert "non-orientable" in str(err)
+                outcomes["rejected"] += 1
+                continue
+            outcomes["built"] += 1
+            for rel in p.relators:
+                red = cyclically_reduce(rel)
+                syls = red.syllables
+                assert syls[0][0] == X and cyclically_reduce(red) == red
+                if len(syls) > 1:
+                    assert syls[-1][0] == C or syls[-1][1] != syls[0][1]
+                    outcomes["mixed ends"] += syls[-1][0] == X
+            assert len(graph.edges) == 2 * sum(
+                len(letter_form(cyclically_reduce(r))) for r in p.relators)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def x3g_over_z2():
