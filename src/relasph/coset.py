@@ -16,7 +16,7 @@ at coset 1, in input order.  HLT then processes cosets in increasing
 order, scanning and filling relators in input order, then fills generator
 columns in increasing column order.  On table overflow it runs a lookahead
 pass (`_scan` without fill of all relators at all live cosets, in order)
-followed by compaction, which renumbers live cosets preserving their
+followed by compaction, which moves live cosets down preserving their
 relative order, and resumes; it repeats this rescue at each overflow while
 the compacted table stays below 98% of the cap, and gives up once more
 than 10 x cap cosets have been defined.  Felsch pushes every entry the
@@ -24,7 +24,8 @@ subgroup scans made onto its deduction stack, then defines the first
 undefined entry of the lowest live coset; it drains the stack LIFO, with
 `_scan` without fill of each relator rotation that starts with the
 deduced column.  Budget exhaustion is a value (`status == "budget"`),
-never an error.
+never an error.  The working table is held column by column, a dead coset
+keeping its union-find parent in its own column-0 slot.
 
 References: Holt, Eick, O'Brien, "Handbook of Computational Group
 Theory", chapter 5.
@@ -198,23 +199,26 @@ def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
                  for w in subgroup_words)
     if strategy not in ("hlt", "felsch"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if not pres.generators:  # one coset, and no column to hold it
+        return CosetTable(pres, subs, array("i"), 1, "complete", cap, 1)
     e = _Enum(len(pres.generators), rels, subs, cap)
     status = e.run_hlt(lookahead) if strategy == "hlt" else e.run_felsch()
     if status == "budget":
         # the partial action carries no completed answers; drop it
         return CosetTable(pres, subs, array("i"), e.nlive, status, cap,
                           e.total_defined)
-    n = e.compact()  # truncates the working table to rows 0..n
-    return CosetTable(pres, subs, e.tab, n, status, cap, e.total_defined)
+    n = e.compact()
+    return CosetTable(pres, subs, e.flat(), n, status, cap, e.total_defined)
 
 
 class _Enum:
     """Working state of one enumeration.
 
-    The table is a flat typed array of C ints indexed ``coset * W +
-    column``, and the union-find parents ``p`` are one too, so a row costs
-    4 * (W + 1) bytes: 20 B with two generators.  Python lists cost 8 B a
-    slot plus a boxed int for every entry above 256.
+    The table is held column by column: ``T[c][x]`` is the image of coset
+    x under column c, in one typed array of C ints per column, so a row
+    costs 4 * W bytes (16 B with two generators) and no entry keeps a boxed
+    int alive.  A live coset has ``T[0][x] >= 0``; a dead one holds minus
+    its union-find parent there, so the table needs no parent array.
 
     ``_scan`` does all the relator work, ``_define`` hands out new rows
     and ``_coincidence`` does every merge.  The gap fill in ``_scan`` is
@@ -226,23 +230,22 @@ class _Enum:
 
     ``_grow`` adds max(alloc / 8, _CHUNK) zeroed rows, clipped at cap + 1,
     so small enumerations under a large default cap stay cheap and unused
-    rows stay under 1/8 of a large table; entries of ``p`` above ``nrows``
-    are set when their row is defined.  ``compact`` renumbers through
-    ``p`` itself rather than a remap array, and ``_coincidence`` holds its
-    queue one generation of dead cosets at a time rather than every coset
-    the coincidence kills.
+    rows stay under 1/8 of a large table.  ``compact`` moves live rows
+    down in place, ``_coincidence`` holds its queue one generation of dead
+    cosets at a time, and ``flat`` interleaves the columns a block at a
+    time, so none of them needs a further array of the table's length.
     """
 
     def __init__(self, ngens: int, rels, subs, cap: int):
         self.W = W = 2 * ngens
-        self.cols = [(c, c ^ 1) for c in range(W)]  # column, inverse column
-        self.rels = [(w, tuple(c ^ 1 for c in w)) for w in rels]
-        self.subs = [(w, tuple(c ^ 1 for c in w)) for w in subs]
         self.cap = cap
         alloc = min(cap + 1, _CHUNK)
-        self.tab = array("i", bytes(_INT * W * (alloc + 1)))
-        self.p = array("i", bytes(_INT * (alloc + 1)))
-        self.p[1] = 1
+        self.T = T = [array("i", bytes(_INT * (alloc + 1))) for _ in range(W)]
+        # column, inverse column and their arrays; _grow and compact
+        # resize the arrays in place
+        self.cols = [(c, c ^ 1, T[c], T[c ^ 1]) for c in range(W)]
+        self.rels = [(w, tuple(c ^ 1 for c in w)) for w in rels]
+        self.subs = [(w, tuple(c ^ 1 for c in w)) for w in subs]
         self.alloc = alloc
         self.nrows = 1  # highest row in use; coset 1 exists from the start
         self.dead = 0  # dead rows among 1..nrows
@@ -256,8 +259,8 @@ class _Enum:
         if self.alloc + add > self.cap + 1:
             add = self.cap + 1 - self.alloc
         # bytes(n) is calloc'd, so the zero source costs no resident pages
-        self.tab.frombytes(bytes(_INT * self.W * add))
-        self.p.frombytes(bytes(_INT * add))
+        for col in self.T:
+            col.frombytes(bytes(_INT * add))
         self.alloc += add
 
     @property
@@ -276,93 +279,92 @@ class _Enum:
         if b >= self.alloc:
             self._grow()
         self.nrows = b
-        self.p[b] = b
-        tab = self.tab
-        W = self.W
-        tab[a * W + c] = b
-        tab[b * W + (c ^ 1)] = a
+        self.T[c][a] = b
+        self.T[c ^ 1][b] = a
         return b
 
     def _rep(self, k: int) -> int:
-        p = self.p
+        T0 = self.T[0]
         r = k
-        while p[r] != r:
-            r = p[r]
-        while p[k] != r:
-            p[k], k = r, p[k]
+        while T0[r] < 0:
+            r = -T0[r]
+        while k != r:
+            T0[k], k = -r, -T0[k]
         return r
 
     def _coincidence(self, a: int, b: int, deductions: bool = False):
-        p = self.p
-        tab = self.tab
-        W = self.W
-        q = array("i")
+        T0 = self.T[0]
+        T1 = self.T[1]
         ded = self.dedstack if deductions else None
-        dead = 0
-
-        # merge(a, b), with union-find reps inlined throughout
-        phi = a
-        while p[phi] != phi:
-            phi = p[phi]
-        psi = b
-        while p[psi] != psi:
-            psi = p[psi]
-        if phi != psi:
-            if phi > psi:
-                phi, psi = psi, phi
-            p[psi] = phi
-            q.append(psi)
+        # merge(a, b); below, union-find reps are inlined
+        a, b = sorted((self._rep(a), self._rep(b)))
+        q = array("i")
+        if a != b:
+            q.extend((b, T0[b]))
+            T0[b] = -a
         cols = self.cols
-        # each merge appends the dead coset to q.  Taking q a generation at
-        # a time visits the dead in the same FIFO order as iterating a
-        # growing queue, but holds two generations, not every dead coset
+        # each merge appends the dead coset and the column-0 entry its
+        # parent link replaced to q.  Taking q a generation at a time
+        # visits the dead in the same FIFO order as iterating a growing
+        # queue, but holds two generations, not every dead coset
         while q:
             batch, q = q, array("i")
-            dead += len(batch)
-            for y in batch:
-                base = y * W
-                # y is dead: its rep search starts at p[y] and resumes from the
-                # last rep found, since a rep changes only by being merged
-                # under a smaller root
-                mu = p[y]
-                for c, ci in cols:
-                    d = tab[base + c]
-                    if d == 0:
+            self.dead += len(batch) >> 1
+            pairs = iter(batch)
+            for y, e in zip(pairs, pairs):
+                # y is dead: its rep search starts at its parent and resumes
+                # from the last rep found, since a rep changes only by being
+                # merged under a smaller root
+                mu = -T0[y]
+                for c, ci, col, icol in cols:
+                    # y's column-0 entry e came through the queue.  A row not
+                    # yet visited has every entry's inverse pointing back,
+                    # so an e whose inverse is not y is one that e's own
+                    # visit cleared (below)
+                    d = col[y] if c else e
+                    if not d or not c and T1[d] != y:
                         continue
-                    tab[d * W + ci] = 0
+                    if ci or T0[d] >= 0:
+                        icol[d] = 0
+                    else:
+                        # d is dead and not yet visited, so its column 0
+                        # is its parent link: clear y's side instead
+                        col[y] = 0
                     if ded is not None:
                         ded.append((d, ci))
-                    while p[mu] != mu:
-                        mu = p[mu]
+                    while T0[mu] < 0:
+                        mu = -T0[mu]
                     nu = d
-                    if p[d] != d:
-                        while p[nu] != nu:
-                            nu = p[nu]
+                    t = T0[d]
+                    if t < 0:
+                        nu = -t
+                        while T0[nu] < 0:
+                            nu = -T0[nu]
                         k = d
-                        while p[k] != nu:
-                            p[k], k = nu, p[k]
+                        while t != -nu:
+                            T0[k], k = -nu, -t
+                            t = T0[k]
                     # y's c-edge now runs mu -> nu: merge nu with mu's
                     # c-image, or else mu with nu's inverse image, or else
                     # enter the edge
                     phi = nu
-                    psi = tab[mu * W + c]
+                    psi = col[mu]
                     if not psi:
                         phi = mu
-                        psi = tab[nu * W + ci]
+                        psi = icol[nu]
                         if not psi:
-                            tab[mu * W + c] = nu
-                            tab[nu * W + ci] = mu
+                            col[mu] = nu
+                            icol[nu] = mu
                             if ded is not None:
                                 ded.append((mu, c))
                             continue
-                    while p[psi] != psi:
-                        psi = p[psi]
+                    while T0[psi] < 0:
+                        psi = -T0[psi]
                     if phi != psi:
                         if phi > psi:
                             phi, psi = psi, phi
-                        p[psi] = phi
-                        q.append(psi)
-        self.dead += dead
+                        q.extend((psi, T0[psi]))
+                        T0[psi] = -phi
 
     # -- the scan ----------------------------------------------------------
 
@@ -376,13 +378,12 @@ class _Enum:
         it with new cosets and scans on (Holt's SCAN_AND_FILL).  Returns
         True when the cap stopped a fill.
         """
-        tab = self.tab
-        W = self.W
+        T = self.T
         f, i = a, 0
         b, j = a, len(w) - 1
         while True:
             while i <= j:
-                t = tab[f * W + w[i]]
+                t = T[w[i]][f]
                 if not t:
                     break
                 f = t
@@ -392,7 +393,7 @@ class _Enum:
                     self._coincidence(f, b, deductions)
                 return False
             while j >= i:
-                t = tab[b * W + wi[j]]
+                t = T[wi[j]][b]
                 if not t:
                     break
                 b = t
@@ -401,8 +402,8 @@ class _Enum:
                 self._coincidence(f, b, deductions)
                 return False
             if j == i:
-                tab[f * W + w[i]] = b
-                tab[b * W + wi[i]] = f
+                T[w[i]][f] = b
+                T[wi[i]][b] = f
                 if deductions:
                     self.dedstack.append((f, w[i]))
                 return False
@@ -413,7 +414,6 @@ class _Enum:
             # entry the backward scan stopped at (f == b, w[i] == w[j]^1),
             # define that one alone, or the deduction would overwrite it
             rescan = f == b and w[i] == wi[j]
-            p = self.p
             nrows = self.nrows
             while i < j:
                 if nrows >= self.cap:
@@ -422,9 +422,8 @@ class _Enum:
                 if nrows + 1 >= self.alloc:
                     self._grow()
                 nrows += 1
-                tab[f * W + w[i]] = nrows
-                tab[nrows * W + wi[i]] = f
-                p[nrows] = nrows
+                T[w[i]][f] = nrows
+                T[wi[i]][nrows] = f
                 f = nrows
                 i += 1
                 if rescan:
@@ -439,36 +438,32 @@ class _Enum:
     # -- HLT ---------------------------------------------------------------
 
     def _lookahead(self):
-        p = self.p
+        T0 = self.T[0]
         for a in range(1, self.nrows + 1):
-            if p[a] != a:
-                continue
             for w, wi in self.rels:
-                self._scan(a, w, wi)
-                if p[a] != a:
+                if T0[a] < 0:
                     break
+                self._scan(a, w, wi)
 
     def _close_from(self, a: int) -> int:
         """Close each live coset from `a` on, in order: scan and fill every
         relator there, then define each of its entries still empty.
         Returns the coset the cap stopped at, or 0 once all are closed."""
-        W = self.W
-        p = self.p
-        tab = self.tab
+        T = self.T
+        T0 = T[0]
         scan = self._scan
         define = self._define
         rels = self.rels
         while a <= self.nrows:
-            if p[a] == a:
+            if T0[a] >= 0:
                 for w, wi in rels:
                     if scan(a, w, wi, True):
                         return a
-                    if p[a] != a:
+                    if T0[a] < 0:
                         break
                 else:
-                    base = a * W
-                    for c in range(W):
-                        if tab[base + c] == 0 and not define(a, c):
+                    for c, col in enumerate(T):
+                        if not col[a] and not define(a, c):
                             return a
             a += 1
         return 0
@@ -508,103 +503,107 @@ class _Enum:
                         seen.add(rot)
                         by_col[rot[0]].append(
                             (rot, tuple(c ^ 1 for c in rot)))
-        p = self.p
-        tab = self.tab
-        W = self.W
+        T = self.T
+        T0 = T[0]
         if self._fill_subgroup():
             return "budget"
         # every entry the subgroup scans made is a deduction (Holt, Eick,
         # O'Brien section 5.2): without them a relator can stay open at a
         # coset the main loop never revisits
         for a in range(1, self.nrows + 1):
-            if p[a] == a:
-                for c in range(W):
-                    if tab[a * W + c]:
+            if T0[a] >= 0:
+                for c, col in enumerate(T):
+                    if col[a]:
                         self.dedstack.append((a, c))
         self._drain(by_col)
         a = 1
         while a <= self.nrows:
-            if p[a] != a:
-                a += 1
-                continue
-            c = 0
-            while c < W:
-                if p[a] != a:
+            for c, col in enumerate(T):
+                if T0[a] < 0:
                     break
-                if tab[a * W + c] == 0:
+                if not col[a]:
                     if not self._define(a, c):
                         return "budget"
                     self.dedstack.append((a, c))
                     self._drain(by_col)
-                c += 1
-            if p[a] == a:
-                a += 1
+            a += 1
         return "complete"
 
     def _drain(self, by_col):
-        p = self.p
-        tab = self.tab
-        W = self.W
+        T = self.T
+        T0 = T[0]
         while self.dedstack:
             a, c = self.dedstack.pop()
             a = self._rep(a)
             for w, wi in by_col[c]:
                 self._scan(a, w, wi, deductions=True)
-                if p[a] != a:
+                if T0[a] < 0:
+                    # a scan killed a: its own entry is stale, read its rep's
+                    a = self._rep(a)
                     break
-            b = tab[a * W + c]
+            b = T[c][a]
             if b:
-                b = self._rep(b)
                 for w, wi in by_col[c ^ 1]:
                     self._scan(b, w, wi, deductions=True)
-                    if p[b] != b:
+                    if T0[b] < 0:
                         break
 
     # -- compaction --------------------------------------------------------
 
     def compact(self, cursor: int = 0) -> int:
         """Renumber live cosets 1..nlive preserving order, and truncate the
-        table and parents to those rows.
+        columns to those rows.
 
-        Returns the new index for `cursor` (the lowest live index at or
-        after it) so interrupted HLT loops can resume.
+        Returns the new index of the last live coset at or before `cursor`
+        (1 if none), where an interrupted HLT loop resumes.
         """
-        p = self.p
-        tab = self.tab
-        W = self.W
-        # a live row's parent becomes minus its new number; a dead row's
-        # parent chain still ends at a live row, so p holds the renumbering
+        T0 = self.T[0]
+        cols = self.cols
+        # no coincidence is pending, so live rows point only at live rows:
+        # moving row old down to new patches each neighbour's inverse
+        # entry, and rows not yet moved still sit at their old numbers
         new = 0
         new_cursor = 1
         for old in range(1, self.nrows + 1):
-            if p[old] == old:
-                new += 1
-                p[old] = -new
-                if old <= cursor:
-                    new_cursor = new
-        for old in range(1, self.nrows + 1):
-            if p[old] > 0:
+            if T0[old] < 0:
                 continue
-            ob = old * W
-            nb = -p[old] * W
-            for c in range(W):
-                t = tab[ob + c]
-                if t:
-                    while p[t] > 0:
-                        t = p[t]
-                    tab[nb + c] = -p[t]
-                else:
-                    tab[nb + c] = 0
+            new += 1
+            if old <= cursor:
+                new_cursor = new
+            if new == old:
+                continue
+            for _, _, col, icol in cols:
+                t = col[old]
+                if t == old:
+                    t = new
+                elif t:
+                    icol[t] = new
+                col[new] = t
         # drop the rows beyond the live block: definitions hand rows out
         # assuming they are zero, and _grow appends zeroed ones
-        del tab[(new + 1) * W:]
-        del p[new + 1:]
+        for col in self.T:
+            del col[new + 1:]
         self.dropped += self.nrows - new
         self.dead = 0
         self.alloc = self.nrows = new
-        for i in range(new + 1):
-            p[i] = i
         return new_cursor if cursor else new
+
+    def flat(self) -> array:
+        """The compacted table as one array indexed ``coset * W + column``,
+        emptying the columns: it is filled back to front in _CHUNK-row
+        blocks, each deleted from the columns once copied, so the table
+        is never held twice over."""
+        W = self.W
+        tab = array("i")
+        for lo in reversed(range(0, len(self.T[0]), _CHUNK)):
+            block = array("i", (0,)) * (W * (len(self.T[0]) - lo))
+            for c, col in enumerate(self.T):
+                block[c::W] = col[lo:]
+                del col[lo:]
+            block.reverse()
+            tab.extend(block)
+        tab.reverse()
+        return tab
 
 
 # ---------------------------------------------------------------------------

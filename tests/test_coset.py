@@ -56,6 +56,8 @@ F25 = P([f"x{i}" for i in range(5)],
 S3Z3 = lift(parse_presentation(
     "group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>; x; "
     "rel x^2 g x^-1 h"))
+Z3Z3 = lift(parse_presentation(
+    "group <g, h | g^3, h^3, g h g^-1 h^-1>; x; rel x^2 g x^-1 h"))
 S3xZ3 = parse_presentation(
     "group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>; x; rel x g").coeff
 # the (2,3,7) triangle group: infinite, so every enumeration of it ends in
@@ -69,7 +71,9 @@ def test_cyclic_orders_1_to_64():
         assert t.complete and t.n == n
 
 
-@pytest.mark.parametrize("pres,order", [(S3, 6), (Q8, 8), (A5, 60), (PSL27, 168)])
+# the trivial group on no generators has no table column at all
+@pytest.mark.parametrize("pres,order", [(S3, 6), (Q8, 8), (A5, 60), (PSL27, 168),
+                                        (P([], []), 1)])
 def test_known_orders_both_strategies(pres, order):
     for strategy in ("hlt", "felsch"):
         t = enumerate_cosets(pres, [], 10 ** 4, strategy=strategy)
@@ -152,19 +156,27 @@ def test_check_raises_under_python_O():
 
 
 def test_enumeration_holds_only_the_rows_it_uses():
-    """Growth slack, compaction and the coincidence queue stay small next
-    to the rows defined: the traced peak of one enumeration is at most
-    1.5 rows of 4(W+1) bytes per definition."""
-    pres = {f.name: f for f in TABLE1_FIXTURES}["{3,-1} L6"].instance().lifted()
-    tracemalloc.start()
-    try:
-        t = enumerate_cosets(pres, [(("h", 1),)], 3 * 10 ** 6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert t.complete and (t.n, t.total_defined) == (1512, 4979)
-    row = array("i").itemsize * (2 * len(pres.generators) + 1)
-    assert peak <= 1.5 * t.total_defined * row
+    """Growth slack, compaction, the coincidence queue and the completed
+    table's copy stay small next to the rows defined: the traced peak of
+    one enumeration is at most 1.5 rows of 4W bytes per definition."""
+    fixtures = {f.name: f for f in TABLE1_FIXTURES}
+    for pres, subs, strategy, n, defined in (
+            # most rows die in coincidences
+            (fixtures["{3,-1} L6"].instance().lifted(), [(("h", 1),)],
+             "hlt", 1512, 4979),
+            (fixtures["{3,-1} K5"].instance().lifted(), [(("h", 1),)],
+             "hlt", 22, 4754),
+            # most rows live to the end, so the completed table's copy counts
+            (Z3Z3, [], "felsch", 13608, 14698)):
+        tracemalloc.start()
+        try:
+            t = enumerate_cosets(pres, subs, 3 * 10 ** 6, strategy=strategy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.complete and (t.n, t.total_defined) == (n, defined)
+        row = array("i").itemsize * 2 * len(pres.generators)
+        assert peak <= 1.5 * t.total_defined * row, (n, peak)
 
 
 def test_lookahead_rescue_completes_a5():
@@ -475,7 +487,7 @@ _GUARD_GROUPS = {"S3": S3, "Q8": Q8, "A5": A5, "PSL27": PSL27, "F25": F25,
 # sha256 of the table's bytes, first 16 hex digits), recorded from the
 # list-based enumerator; the typed-array table must make the same
 # definitions in the same order.
-# {4,1} K5 is left out: its regular table takes 3e6 definitions.
+# {4,1} K5's regular table is left out: it takes 3e6 definitions.
 _GUARD = (
     ("S3", "", "hlt", 10000, "complete", 6, 6, "62f8ea117b5cdf4e"),
     ("S3", "", "felsch", 10000, "complete", 6, 6, "62f8ea117b5cdf4e"),
@@ -530,6 +542,9 @@ _GUARD = (
      "hlt", 3000000, "complete", 22, 4754, "de22a1fb59467edd"),
     ("{3,-1} L6", "h",
      "hlt", 3000000, "complete", 1512, 4979, "37b6d74d0654f3e6"),
+    # one coincidence kills 836,186 of its rows
+    ("{4,1} K5", "h",
+     "hlt", 3000000, "complete", 755, 883272, "fdc27d3379b449e5"),
     ("S3xZ3", "g",
      "hlt", 100000, "complete", 13608, 55628, "e744f09886658301"),
     ("A5", "a, b a b^-1", "hlt", 10000, "complete", 6, 7, "0336844fd7851188"),
