@@ -178,13 +178,15 @@ def cmd_table1(args) -> int:
 def cmd_order(args) -> int:
     pres = _load_presentation(args)
     lifted = lift(pres)
+    if not args.subgroup:
+        # |G| = [G:<g>] * |g| over the first generator g where |g| is pinned
+        print(coset.order_via_cyclic_subgroup(
+            lifted, ((lifted.generators[0], 1),), args.cap, args.strategy))
+        return 0
     subgroup = [parse_word(chunk, lifted.generators, "--subgroup: ")
-                for chunk in args.subgroup.split(",")] if args.subgroup else []
+                for chunk in args.subgroup.split(",")]
     t = enumerate_cosets(lifted, subgroup, args.cap, strategy=args.strategy)
-    if t.complete:
-        print(f"Finite({t.n})" if not subgroup else f"Index({t.n})")
-    else:
-        print(f"ExceedsBudget({args.cap})")
+    print(f"Index({t.n})" if t.complete else f"ExceedsBudget({args.cap})")
     return 0
 
 

@@ -9,7 +9,7 @@ available for cross-checking; both must produce the same index.
 One scan does all the relator work.  `_scan` applies a closing
 deduction or a coincidence, and with `fill` it first fills a longer gap
 with new cosets (Holt's SCAN_AND_FILL).  `_define` hands out every other
-new coset, and `_coincidence` does every merge.
+new coset, and `_coincidence` does every merge, for both strategies.
 
 Determinism: both strategies first scan and fill each subgroup generator
 at coset 1, in input order.  HLT then processes cosets in increasing
@@ -25,7 +25,9 @@ undefined entry of the lowest live coset; it drains the stack LIFO, with
 `_scan` without fill of each relator rotation that starts with the
 deduced column.  Budget exhaustion is a value (`status == "budget"`),
 never an error.  The working table is held column by column, a dead coset
-keeping its union-find parent in its own column-0 slot.
+keeping its union-find parent in its own column-0 slot, whose edge moves as
+it dies; the coincidence queue holds it as one int until its other columns
+are visited.
 
 References: Holt, Eick, O'Brien, "Handbook of Computational Group
 Theory", chapter 5.
@@ -100,11 +102,7 @@ def ordinary(G: CoefficientGroup) -> LiftedPresentation:
 def _word_cols(w: Word, gen_index: dict) -> tuple:
     cols = []
     for g, e in w:
-        c = 2 * gen_index[g]
-        if e < 0:
-            cols.extend([c + 1] * (-e))
-        else:
-            cols.extend([c] * e)
+        cols.extend([2 * gen_index[g] + (e < 0)] * abs(e))
     return tuple(cols)
 
 
@@ -219,6 +217,8 @@ class _Enum:
     costs 4 * W bytes (16 B with two generators) and no entry keeps a boxed
     int alive.  A live coset has ``T[0][x] >= 0``; a dead one holds minus
     its union-find parent there, so the table needs no parent array.
+    ``_merge`` moves a coset's column-0 edge as it dies; its columns
+    1..W-1 wait for their visit in the coincidence queue, one int a coset.
 
     ``_scan`` does all the relator work, ``_define`` hands out new rows
     and ``_coincidence`` does every merge.  The gap fill in ``_scan`` is
@@ -292,44 +292,70 @@ class _Enum:
             T0[k], k = -r, -T0[k]
         return r
 
-    def _coincidence(self, a: int, b: int, deductions: bool = False):
+    def _merge(self, phi: int, psi: int, q: array, ded):
+        """Merge live coset phi with psi's class, queueing each coset that
+        dies.  Its column-0 slot becomes its parent link, so its 0-edge
+        moves to its rep at once; that can kill one more coset at most,
+        whose 0-edge moves in turn: a loop, with no stack."""
         T0 = self.T[0]
         T1 = self.T[1]
+        while True:
+            while T0[psi] < 0:
+                psi = -T0[psi]
+            if phi == psi:
+                return
+            if phi > psi:
+                phi, psi = psi, phi
+            e = T0[psi]
+            T0[psi] = -phi
+            q.append(psi)
+            if not e:
+                return
+            # psi's 0-edge now runs phi -> nu, e's rep: merge nu with
+            # phi's 0-image, or else phi with nu's 1-image, or else enter it
+            T1[e] = 0
+            if ded is not None:
+                ded.append((e, 1))
+            nu = e
+            while T0[nu] < 0:
+                nu = -T0[nu]
+            psi = T0[phi]
+            if psi:
+                phi = nu
+            else:
+                psi = T1[nu]
+                if not psi:
+                    T0[phi] = nu
+                    T1[nu] = phi
+                    if ded is not None:
+                        ded.append((phi, 0))
+                    return
+
+    def _coincidence(self, a: int, b: int, deductions: bool = False):
+        T0 = self.T[0]
         ded = self.dedstack if deductions else None
-        # merge(a, b); below, union-find reps are inlined
-        a, b = sorted((self._rep(a), self._rep(b)))
+        merge = self._merge
         q = array("i")
-        if a != b:
-            q.extend((b, T0[b]))
-            T0[b] = -a
-        cols = self.cols
-        # each merge appends the dead coset and the column-0 entry its
-        # parent link replaced to q.  Taking q a generation at a time
-        # visits the dead in the same FIFO order as iterating a growing
-        # queue, but holds two generations, not every dead coset
+        merge(self._rep(a), self._rep(b), q, ded)
+        cols = self.cols[1:]
+        # taking q a generation at a time visits the dead in the same FIFO
+        # order as iterating a growing queue, but holds two generations, not
+        # every dead coset
         while q:
             batch, q = q, array("i")
-            self.dead += len(batch) >> 1
-            pairs = iter(batch)
-            for y, e in zip(pairs, pairs):
+            self.dead += len(batch)
+            for y in batch:
                 # y is dead: its rep search starts at its parent and resumes
                 # from the last rep found, since a rep changes only by being
                 # merged under a smaller root
                 mu = -T0[y]
                 for c, ci, col, icol in cols:
-                    # y's column-0 entry e came through the queue.  A row not
-                    # yet visited has every entry's inverse pointing back,
-                    # so an e whose inverse is not y is one that e's own
-                    # visit cleared (below)
-                    d = col[y] if c else e
-                    if not d or not c and T1[d] != y:
+                    d = col[y]
+                    if not d:
                         continue
-                    if ci or T0[d] >= 0:
-                        icol[d] = 0
-                    else:
-                        # d is dead and not yet visited, so its column 0
-                        # is its parent link: clear y's side instead
-                        col[y] = 0
+                    # d is live when c is 1: had d died, its 0-edge to y
+                    # would have moved then, clearing this entry
+                    icol[d] = 0
                     if ded is not None:
                         ded.append((d, ci))
                     while T0[mu] < 0:
@@ -347,24 +373,15 @@ class _Enum:
                     # y's c-edge now runs mu -> nu: merge nu with mu's
                     # c-image, or else mu with nu's inverse image, or else
                     # enter the edge
-                    phi = nu
-                    psi = col[mu]
-                    if not psi:
-                        phi = mu
-                        psi = icol[nu]
-                        if not psi:
-                            col[mu] = nu
-                            icol[nu] = mu
-                            if ded is not None:
-                                ded.append((mu, c))
-                            continue
-                    while T0[psi] < 0:
-                        psi = -T0[psi]
-                    if phi != psi:
-                        if phi > psi:
-                            phi, psi = psi, phi
-                        q.extend((psi, T0[psi]))
-                        T0[psi] = -phi
+                    if col[mu]:
+                        merge(nu, col[mu], q, ded)
+                    elif icol[nu]:
+                        merge(mu, icol[nu], q, ded)
+                    else:
+                        col[mu] = nu
+                        icol[nu] = mu
+                        if ded is not None:
+                            ded.append((mu, c))
 
     # -- the scan ----------------------------------------------------------
 
@@ -613,9 +630,7 @@ class _Enum:
 def subgroup_index(pres: LiftedPresentation, subgroup_words: Sequence[Word],
                    cap: int = DEFAULT_CAP, strategy: str = "hlt") -> OrderResult:
     t = enumerate_cosets(pres, subgroup_words, cap, strategy)
-    if t.complete:
-        return OrderResult.finite(t.n)
-    return OrderResult.exceeds(cap)
+    return OrderResult.finite(t.n) if t.complete else OrderResult.exceeds(cap)
 
 
 def group_order(pres: LiftedPresentation, cap: int = DEFAULT_CAP,
@@ -663,14 +678,11 @@ def abelian_order_of_word(pres: LiftedPresentation, w: Word) -> Optional[int]:
     left = 0
     while top < m and left < n:
         # find a nonzero pivot of minimal absolute value
-        best = None
-        for r in range(top, m):
-            for c in range(left, n):
-                if A[r][c] and (best is None or abs(A[r][c]) < abs(A[best[0]][best[1]])):
-                    best = (r, c)
+        best = min(((abs(A[r][c]), r, c) for r in range(top, m)
+                    for c in range(left, n) if A[r][c]), default=None)
         if best is None:
             break
-        r0, c0 = best
+        _, r0, c0 = best
         A[top], A[r0] = A[r0], A[top]
         if c0 != left:
             col_swap(left, c0)
@@ -727,20 +739,20 @@ def _power_relator_bound(pres: LiftedPresentation, w: Word) -> Optional[int]:
 
 
 def order_via_cyclic_subgroup(pres: LiftedPresentation, w: Word,
-                              cap: int = DEFAULT_CAP) -> OrderResult:
+                              cap: int = DEFAULT_CAP,
+                              strategy: str = "hlt") -> OrderResult:
     """|group| = [group : <w>] * |w| when |w| can be pinned exactly.
 
     |w| is exact when its abelianized order meets an explicit power-relator
     upper bound; otherwise the order comes from `group_order`.  Either way
-    one enumeration runs, and a cap hit is ExceedsBudget.
+    one enumeration runs under `strategy`, and a cap hit is ExceedsBudget.
     """
     upper = _power_relator_bound(pres, w)
     if upper is None or abelian_order_of_word(pres, w) != upper:
-        return group_order(pres, cap)
-    t = enumerate_cosets(pres, [w], cap)
-    if not t.complete:
-        return OrderResult.exceeds(cap)
-    return OrderResult.finite(t.n * upper)
+        return group_order(pres, cap, strategy)
+    t = enumerate_cosets(pres, [w], cap, strategy)
+    return (OrderResult.finite(t.n * upper) if t.complete
+            else OrderResult.exceeds(cap))
 
 
 # ---------------------------------------------------------------------------
@@ -780,22 +792,12 @@ class GroupContext:
     def _nf(self, w: Word) -> Word:
         out = []
         for g, e in w:
+            if out and out[-1][0] == g:
+                e += out.pop()[1]
             m = self.moduli[g]
-            if m == 1:
-                continue
             if m is not None:
                 e %= m
-            if e == 0:
-                continue
-            if out and out[-1][0] == g:
-                e2 = out[-1][1] + e
-                m2 = self.moduli[g]
-                if m2 is not None:
-                    e2 %= m2
-                out.pop()
-                if e2:
-                    out.append((g, e2))
-            else:
+            if e:
                 out.append((g, e))
         return tuple(out)
 
@@ -954,10 +956,8 @@ _context_cache: dict = {}
 
 def context_for(group, cap: int = DEFAULT_CAP) -> GroupContext:
     """Shared, cached oracle; completed tables are immutable so reuse is safe."""
-    if isinstance(group, CoefficientGroup):
-        key = ("coeff", group.generators, group.relators, cap)
-    else:
-        key = ("pres", group.generators, group.relators, cap)
+    key = ("coeff" if isinstance(group, CoefficientGroup) else "pres",
+           group.generators, group.relators, cap)
     ctx = _context_cache.get(key)
     if ctx is None:
         ctx = GroupContext(group, cap)

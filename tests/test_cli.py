@@ -146,6 +146,74 @@ def test_order_command(tmp_path, capsys):
     assert rc == 0 and out.strip() == "ExceedsBudget(2000)"
 
 
+# relative presentations for `order` without --subgroup: A5 and PSL(2,7)
+# with a trivial x, and the S3xZ3 and Z3xZ3 examples; three small table1
+# fixtures join them
+_ORDER_EXAMPLES = {
+    "A5": "group <a, b | a^2, b^3, " + " ".join(["a b"] * 5) + ">; x; rel x",
+    "PSL27": "group <a, b | a^2, b^3, " + " ".join(["a b"] * 7) + ", "
+             + " ".join(["a^-1 b^-1 a b"] * 4) + ">; x; rel x",
+    "S3xZ3": "group <g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>; x; "
+             "rel x^2 g x^-1 h",
+    "Z3xZ3": "group <g, h | g^3, h^3, g h g^-1 h^-1>; x; rel x^2 g x^-1 h",
+}
+
+
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+@pytest.mark.parametrize("name", [*_ORDER_EXAMPLES, "{2,-1} K5", "{2,-1} L6",
+                                  "{3,-1} K5"])
+def test_order_without_subgroup_prints_the_regular_order(tmp_path, capsys,
+                                                         name, strategy):
+    from relasph.classify import TABLE1_FIXTURES
+    from relasph.coset import enumerate_cosets, lift
+    from relasph.words import parse_presentation
+    if name in _ORDER_EXAMPLES:
+        pres = parse_presentation(_ORDER_EXAMPLES[name])
+        target = [str(tmp_path / "p.txt")]
+        (tmp_path / "p.txt").write_text(_ORDER_EXAMPLES[name])
+    else:
+        fix = {f.name: f for f in TABLE1_FIXTURES}[name]
+        pres = fix.instance().presentation()
+        target = ["--cyclic", str(fix.n), "--l", str(fix.l), "--k",
+                  str(fix.k), "--g", str(fix.a), "--h", str(fix.b)]
+    t = enumerate_cosets(lift(pres), [], 10 ** 5, strategy=strategy)
+    assert t.complete
+    rc, out, _ = run(capsys, "order", *target, "--cap", str(10 ** 5),
+                     "--strategy", strategy)
+    assert rc == 0 and out == f"Finite({t.n})\n"
+
+
+def test_order_counts_through_the_first_generator_when_it_can(
+        tmp_path, capsys, monkeypatch):
+    # |g| = 2 is pinned in S3xZ3, so the enumeration runs over <g>; |a| = 2
+    # in A5 is not (A5 is perfect), so it enumerates the whole group
+    from relasph import coset
+    calls = []
+    enumerate_cosets = coset.enumerate_cosets
+
+    def counting(pres, subs, *args, **kwargs):
+        calls.append(list(subs))
+        return enumerate_cosets(pres, subs, *args, **kwargs)
+
+    monkeypatch.setattr(coset, "enumerate_cosets", counting)
+    for name, subs, line in (("S3xZ3", [(("g", 1),)], "Finite(27216)"),
+                             ("A5", [], "Finite(60)")):
+        f = tmp_path / f"{name}.txt"
+        f.write_text(_ORDER_EXAMPLES[name])
+        calls.clear()
+        rc, out, _ = run(capsys, "order", str(f))
+        assert rc == 0 and out == line + "\n"
+        assert calls == [subs], name
+
+
+def test_order_bogus_strategy_exits_2(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_text(_ORDER_EXAMPLES["Z3xZ3"])
+    with pytest.raises(SystemExit) as err:
+        run(capsys, "order", str(f), "--strategy", "bogus")
+    assert err.value.code == 2
+
+
 def test_order_subgroup(tmp_path, capsys):
     f = tmp_path / "p.txt"
     f.write_text("group <g | g^8>; x; rel x^2 g^2 x^-1 g")

@@ -409,6 +409,17 @@ def test_order_via_cyclic_subgroup_falls_back_to_group_order():
         OrderResult.exceeds(10)
 
 
+def test_order_via_cyclic_subgroup_rejects_an_unknown_strategy():
+    # the pinned route (S3's a) and the fallback (A5's a) both raise what
+    # enumerate_cosets raises
+    with pytest.raises(ValueError) as direct:
+        enumerate_cosets(S3, [], 100, strategy="bogus")
+    for pres in (S3, A5):
+        with pytest.raises(ValueError) as via:
+            order_via_cyclic_subgroup(pres, (("a", 1),), 100, "bogus")
+        assert str(via.value) == str(direct.value) == "unknown strategy 'bogus'"
+
+
 def test_big_example_order_2361960():
     pres = P(["g", "x"], [[("g", 8)], [("x", 2), ("g", 2), ("x", -1), ("g", 1)]])
     r = order_via_cyclic_subgroup(pres, (("g", 1),), 3 * 10 ** 6)
@@ -603,3 +614,103 @@ def test_felsch_subgroup_and_hlt_without_lookahead_tables(row):
                          lookahead=lookahead)
     assert [t.status, t.n, t.total_defined,
             hashlib.sha256(t.tab.tobytes()).hexdigest()[:16]] == expected
+
+
+# the coincidence routine as it was before a coset's column-0 edge moved at
+# its death, frozen for the differential test below: the queue held each dead
+# coset with the column-0 entry its parent link replaced, one generation at
+# a time, and each dead row was visited in every column
+def _frozen_coincidence(self, a, b, deductions=False):
+    T0 = self.T[0]
+    T1 = self.T[1]
+    ded = self.dedstack if deductions else None
+    a, b = sorted((self._rep(a), self._rep(b)))
+    q = array("i")
+    if a != b:
+        q.extend((b, T0[b]))
+        T0[b] = -a
+    cols = self.cols
+    while q:
+        batch, q = q, array("i")
+        self.dead += len(batch) >> 1
+        pairs = iter(batch)
+        for y, e in zip(pairs, pairs):
+            mu = -T0[y]
+            for c, ci, col, icol in cols:
+                d = col[y] if c else e
+                if not d or not c and T1[d] != y:
+                    continue
+                if ci or T0[d] >= 0:
+                    icol[d] = 0
+                else:
+                    col[y] = 0
+                if ded is not None:
+                    ded.append((d, ci))
+                while T0[mu] < 0:
+                    mu = -T0[mu]
+                nu = d
+                t = T0[d]
+                if t < 0:
+                    nu = -t
+                    while T0[nu] < 0:
+                        nu = -T0[nu]
+                    k = d
+                    while t != -nu:
+                        T0[k], k = -nu, -t
+                        t = T0[k]
+                phi = nu
+                psi = col[mu]
+                if not psi:
+                    phi = mu
+                    psi = icol[nu]
+                    if not psi:
+                        col[mu] = nu
+                        icol[nu] = mu
+                        if ded is not None:
+                            ded.append((mu, c))
+                        continue
+                while T0[psi] < 0:
+                    psi = -T0[psi]
+                if phi != psi:
+                    if phi > psi:
+                        phi, psi = psi, phi
+                    q.extend((psi, T0[psi]))
+                    T0[psi] = -phi
+
+
+def _random_presentation(rng):
+    """2 or 3 generators, each with a power relator, and one or two longer
+    random relators; maybe a random subgroup generator."""
+    gens = ["a", "b", "c"][:rng.choice((2, 3))]
+    rels = [[(g, rng.randint(2, 5))] for g in gens]
+    for _ in range(rng.randint(1, 2)):
+        rels.append(list(_random_word(rng, gens, 6)) or [(gens[0], 1)])
+    subs = [_random_word(rng, gens, 3)] if rng.random() < 0.4 else []
+    return P(gens, rels), subs
+
+
+def test_coincidence_matches_the_frozen_pair_queue(monkeypatch):
+    """Moving a dying coset's column-0 edge at its death, not from a queued
+    (coset, entry) pair, changes no enumeration: status, index,
+    definitions and table bytes match the frozen routine's, for HLT and
+    Felsch, at caps that complete, run out, and need the lookahead rescue."""
+    from relasph import coset
+    new = coset._Enum._coincidence
+    rng = random.Random(18)
+    seen = set()
+    for _ in range(60):
+        pres, subs = _random_presentation(rng)
+        for strategy, cap in (("hlt", 40), ("hlt", 400), ("hlt", 4000),
+                              ("felsch", 400), ("felsch", 4000)):
+            got = []
+            for routine in (_frozen_coincidence, new):
+                monkeypatch.setattr(coset._Enum, "_coincidence", routine)
+                t = enumerate_cosets(pres, subs, cap, strategy=strategy)
+                got.append((t.status, t.n, t.total_defined, t.tab.tobytes()))
+            assert got[0] == got[1], (pres, subs, strategy, cap)
+            status, _, defined, _ = got[1]
+            # a complete HLT run that defined more than its cap compacted
+            seen.add((strategy, status, status == "complete" and defined > cap))
+    assert seen >= {("hlt", "complete", False), ("hlt", "complete", True),
+                    ("hlt", "budget", False), ("felsch", "complete", False),
+                    ("felsch", "budget", False)}, seen
