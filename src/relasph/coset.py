@@ -27,7 +27,8 @@ deduced column.  Budget exhaustion is a value (`status == "budget"`),
 never an error.  The working table is held column by column, a dead coset
 keeping its union-find parent in its own column-0 slot, whose edge moves as
 it dies; the coincidence queue holds it as one int until its other columns
-are visited.
+are visited.  A complete table keeps those columns, compacted, and is
+checked before it is returned.
 
 References: Holt, Eick, O'Brien, "Handbook of Computational Group
 Theory", chapter 5.
@@ -70,7 +71,7 @@ class _LiftedPresentation(NamedTuple):
 class LiftedPresentation(Validated, _LiftedPresentation):
     """Ordinary presentation on coefficient generators plus x-generators.
 
-    Relative relators are flattened into plain words; the presented group
+    Relative relators are written out as plain words; the presented group
     is isomorphic to the group defined by the relative presentation.
     """
 
@@ -85,13 +86,13 @@ def lift(p: RelativePresentation) -> LiftedPresentation:
     gens = tuple(p.coeff.generators) + tuple(p.x_gens)
     rels = list(p.coeff.relators)
     for r in p.relators:
-        flat = []
+        word = []
         for s in r.syllables:
             if s[0] == X:
-                flat.append((s[1], s[2]))
+                word.append((s[1], s[2]))
             else:
-                flat.extend(s[1])
-        rels.append(free_reduce(flat))
+                word.extend(s[1])
+        rels.append(free_reduce(word))
     return LiftedPresentation(gens, tuple(rels))
 
 
@@ -109,19 +110,20 @@ def _word_cols(w: Word, gen_index: dict) -> tuple:
 class CosetTable:
     """A completed or budget-exhausted coset table.
 
-    Rows are 1-based; row entries give the action of each generator column
-    (column 2i is generator i, column 2i+1 its inverse; 0 = undefined).
-    Complete tables are compacted so live cosets are exactly 1..n.
-    ``subs`` holds the subgroup generators as column tuples.
+    ``cols[c][a]`` is the image of coset a under column c (column 2i is
+    generator i, column 2i+1 its inverse): the enumerator's own columns,
+    compacted so the cosets are exactly 1..n and each column is n + 1
+    long, row 0 unused.  ``enumerate_cosets`` checks a complete table
+    before it returns it, so every entry is a coset; a budget table holds
+    no columns.  ``subs`` holds the subgroup generators as column tuples.
     """
 
-    def __init__(self, pres: LiftedPresentation, subs: tuple, tab: array,
+    def __init__(self, pres: LiftedPresentation, subs: tuple, cols: list,
                  n: int, status: str, cap: int, total_defined: int):
         self.pres = pres
         self.gen_index = {g: i for i, g in enumerate(pres.generators)}
-        self.ncols = 2 * len(pres.generators)
         self.subs = subs
-        self.tab = tab
+        self.cols = cols
         self.n = n  # number of live cosets (== rows after compaction)
         self.status = status  # 'complete' | 'budget'
         self.cap = cap
@@ -132,21 +134,19 @@ class CosetTable:
         return self.status == "complete"
 
     def trace(self, coset: int, w: Word) -> int:
-        """Image of a coset under a word; 0 if the path runs off the table."""
-        tab, W = self.tab, self.ncols
+        """Image of a coset under a word in a complete table."""
+        cols, gen_index = self.cols, self.gen_index
         a = coset
         for g, e in w:
-            c = 2 * self.gen_index[g] + (1 if e < 0 else 0)
+            col = cols[2 * gen_index[g] + (e < 0)]
             for _ in range(abs(e)):
-                a = tab[a * W + c]
-                if a == 0:
-                    return 0
+                a = col[a]
         return a
 
-    def _image(self, a: int, cols) -> int:
-        tab, W = self.tab, self.ncols
-        for c in cols:
-            a = tab[a * W + c]
+    def _image(self, a: int, w) -> int:
+        cols = self.cols
+        for c in w:
+            a = cols[c][a]
         return a
 
     def check(self) -> None:
@@ -156,25 +156,30 @@ class CosetTable:
 
         The checks raise rather than assert, so they hold under python -O.
         """
-        tab, W, n = self.tab, self.ncols, self.n
+        cols, n = self.cols, self.n
         if not self.complete:
             raise ValueError("check() requires a complete table")
-        for a in range(1, n + 1):
-            for c in range(W):
-                b = tab[a * W + c]
+        if (len(cols) != 2 * len(self.gen_index)
+                or any(len(col) != n + 1 for col in cols)):
+            raise ValueError(f"the columns do not hold {n} cosets each")
+        cosets = range(1, n + 1)
+        for c, col in enumerate(cols):
+            icol = cols[c ^ 1]
+            for a in cosets:
+                b = col[a]
                 if not 1 <= b <= n:
                     raise ValueError(f"entry ({a},{c}) = {b} is not a coset")
-                if tab[b * W + (c ^ 1)] != a:
+                if icol[b] != a:
                     raise ValueError(f"entry ({a},{c}) is inverse-inconsistent")
         for rel in self.pres.relators:
-            cols = _word_cols(rel, self.gen_index)
-            for a in range(1, n + 1):
-                if self._image(a, cols) != a:
+            w = _word_cols(rel, self.gen_index)
+            for a in cosets:
+                if self._image(a, w) != a:
                     raise ValueError(f"relator {rel} does not close at {a}")
-        for cols in self.subs:
-            if self._image(1, cols) != 1:
+        for w in self.subs:
+            if self._image(1, w) != 1:
                 raise ValueError(
-                    f"subgroup generator {cols} does not fix coset 1")
+                    f"subgroup generator {w} does not fix coset 1")
 
 
 def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
@@ -198,15 +203,18 @@ def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
     if strategy not in ("hlt", "felsch"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if not pres.generators:  # one coset, and no column to hold it
-        return CosetTable(pres, subs, array("i"), 1, "complete", cap, 1)
-    e = _Enum(len(pres.generators), rels, subs, cap)
-    status = e.run_hlt(lookahead) if strategy == "hlt" else e.run_felsch()
-    if status == "budget":
-        # the partial action carries no completed answers; drop it
-        return CosetTable(pres, subs, array("i"), e.nlive, status, cap,
-                          e.total_defined)
-    n = e.compact()
-    return CosetTable(pres, subs, e.flat(), n, status, cap, e.total_defined)
+        t = CosetTable(pres, subs, [], 1, "complete", cap, 1)
+    else:
+        e = _Enum(len(pres.generators), rels, subs, cap)
+        status = e.run_hlt(lookahead) if strategy == "hlt" else e.run_felsch()
+        if status == "budget":
+            # the partial action carries no completed answers; drop it
+            return CosetTable(pres, subs, [], e.nlive, status, cap,
+                              e.total_defined)
+        n = e.compact()
+        t = CosetTable(pres, subs, e.T, n, status, cap, e.total_defined)
+    t.check()
+    return t
 
 
 class _Enum:
@@ -231,9 +239,12 @@ class _Enum:
     ``_grow`` adds max(alloc / 8, _CHUNK) zeroed rows, clipped at cap + 1,
     so small enumerations under a large default cap stay cheap and unused
     rows stay under 1/8 of a large table.  ``compact`` moves live rows
-    down in place, ``_coincidence`` holds its queue one generation of dead
-    cosets at a time, and ``flat`` interleaves the columns a block at a
-    time, so none of them needs a further array of the table's length.
+    down in place and ``_coincidence`` holds its queue one generation of
+    dead cosets at a time, so neither needs a further array of the table's
+    length; the compacted columns become the ``CosetTable``'s.
+
+    Felsch's deductions: a moved edge pushes one deduction, for its
+    neighbour's side, and ``_drain`` scans from both ends of it.
     """
 
     def __init__(self, ngens: int, rels, subs, cap: int):
@@ -327,8 +338,6 @@ class _Enum:
                 if not psi:
                     T0[phi] = nu
                     T1[nu] = phi
-                    if ded is not None:
-                        ded.append((phi, 0))
                     return
 
     def _coincidence(self, a: int, b: int, deductions: bool = False):
@@ -380,8 +389,6 @@ class _Enum:
                     else:
                         col[mu] = nu
                         icol[nu] = mu
-                        if ded is not None:
-                            ded.append((mu, c))
 
     # -- the scan ----------------------------------------------------------
 
@@ -604,23 +611,6 @@ class _Enum:
         self.dead = 0
         self.alloc = self.nrows = new
         return new_cursor if cursor else new
-
-    def flat(self) -> array:
-        """The compacted table as one array indexed ``coset * W + column``,
-        emptying the columns: it is filled back to front in _CHUNK-row
-        blocks, each deleted from the columns once copied, so the table
-        is never held twice over."""
-        W = self.W
-        tab = array("i")
-        for lo in reversed(range(0, len(self.T[0]), _CHUNK)):
-            block = array("i", (0,)) * (W * (len(self.T[0]) - lo))
-            for c, col in enumerate(self.T):
-                block[c::W] = col[lo:]
-                del col[lo:]
-            block.reverse()
-            tab.extend(block)
-        tab.reverse()
-        return tab
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,12 @@ S3xZ3 = parse_presentation(
 VD = P(["a", "b"], [[("a", 2)], [("b", 3)], [("a", 1), ("b", 1)] * 7])
 
 
+def _row_major(t):
+    """The table's entries row by row, coset a's W columns at a * W, as
+    bytes: the layout the recorded digests hash (a budget table has none)."""
+    return array("i", [x for row in zip(*t.cols) for x in row]).tobytes()
+
+
 def test_cyclic_orders_1_to_64():
     for n in range(1, 65):
         t = enumerate_cosets(P(["g"], [[("g", n)]]), [], 1000)
@@ -117,7 +123,6 @@ S3 = LiftedPresentation(("a", "b"), ((("a", 2),), (("b", 3),),
                                      (("a", 1), ("b", 1)) * 2))
 t = enumerate_cosets(S3, [(("a", 1),)], 100)
 t.check()
-W = t.ncols
 
 
 def rejects(what):
@@ -129,10 +134,10 @@ def rejects(what):
         print(what, "accepted")
 
 
-entry = t.tab[W]  # coset 1 under a
-t.tab[W] = 2
+entry = t.cols[0][1]  # coset 1 under a
+t.cols[0][1] = 2
 rejects("entry")
-t.tab[W] = entry
+t.cols[0][1] = entry
 t.check()
 t.subs = ((2,),)  # b in place of a: b moves coset 1
 rejects("subgroup")
@@ -155,9 +160,28 @@ def test_check_raises_under_python_O():
     ]
 
 
+def test_enumerate_cosets_checks_the_table_it_returns(monkeypatch):
+    """Every complete table is checked before it is returned: a compaction
+    that corrupts one entry makes enumerate_cosets raise ValueError."""
+    from relasph import coset
+    compact = coset._Enum.compact
+
+    def corrupt(self, cursor=0):
+        n = compact(self, cursor)
+        if not cursor:  # the final compaction, not an HLT rescue's
+            col = self.T[0]
+            col[1] = col[1] % n + 1
+        return n
+
+    monkeypatch.setattr(coset._Enum, "compact", corrupt)
+    for strategy in ("hlt", "felsch"):
+        with pytest.raises(ValueError, match="inverse-inconsistent"):
+            enumerate_cosets(S3, [], 100, strategy=strategy)
+
+
 def test_enumeration_holds_only_the_rows_it_uses():
-    """Growth slack, compaction, the coincidence queue and the completed
-    table's copy stay small next to the rows defined: the traced peak of
+    """Growth slack, compaction, the coincidence queue and the check on
+    return stay small next to the rows defined: the traced peak of
     one enumeration is at most 1.5 rows of 4W bytes per definition."""
     fixtures = {f.name: f for f in TABLE1_FIXTURES}
     for pres, subs, strategy, n, defined in (
@@ -166,7 +190,7 @@ def test_enumeration_holds_only_the_rows_it_uses():
              "hlt", 1512, 4979),
             (fixtures["{3,-1} K5"].instance().lifted(), [(("h", 1),)],
              "hlt", 22, 4754),
-            # most rows live to the end, so the completed table's copy counts
+            # most rows live to the end, and the check on return reads them
             (Z3Z3, [], "felsch", 13608, 14698)):
         tracemalloc.start()
         try:
@@ -192,7 +216,8 @@ def test_lookahead_rescue_completes_a5():
 def test_determinism():
     a = enumerate_cosets(PSL27, [], 10 ** 4)
     b = enumerate_cosets(PSL27, [], 10 ** 4)
-    assert a.tab == b.tab and a.total_defined == b.total_defined
+    assert _row_major(a) == _row_major(b)
+    assert a.total_defined == b.total_defined
 
 
 def test_element_orders_and_equality():
@@ -583,7 +608,7 @@ def test_tables_identical_to_the_list_enumerator():
         subs = [parse_word(w) for w in subgroup.split(",")] if subgroup else []
         t = enumerate_cosets(pres, subs, cap, strategy=strategy)
         got = (t.status, t.n, t.total_defined,
-               hashlib.sha256(t.tab.tobytes()).hexdigest()[:16])
+               hashlib.sha256(_row_major(t)).hexdigest()[:16])
         assert got == (status, n, defined, digest), (group, subgroup,
                                                      strategy, cap)
 
@@ -613,7 +638,7 @@ def test_felsch_subgroup_and_hlt_without_lookahead_tables(row):
     t = enumerate_cosets(pres, subs, cap, strategy=strategy,
                          lookahead=lookahead)
     assert [t.status, t.n, t.total_defined,
-            hashlib.sha256(t.tab.tobytes()).hexdigest()[:16]] == expected
+            hashlib.sha256(_row_major(t)).hexdigest()[:16]] == expected
 
 
 # the coincidence routine as it was before a coset's column-0 edge moved at
@@ -706,7 +731,7 @@ def test_coincidence_matches_the_frozen_pair_queue(monkeypatch):
             for routine in (_frozen_coincidence, new):
                 monkeypatch.setattr(coset._Enum, "_coincidence", routine)
                 t = enumerate_cosets(pres, subs, cap, strategy=strategy)
-                got.append((t.status, t.n, t.total_defined, t.tab.tobytes()))
+                got.append((t.status, t.n, t.total_defined, _row_major(t)))
             assert got[0] == got[1], (pres, subs, strategy, cap)
             status, _, defined, _ = got[1]
             # a complete HLT run that defined more than its cap compacted
