@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
@@ -517,120 +518,104 @@ class ParseError(ValueError):
 
 
 # The grammar is ASCII: a name is [A-Za-z_][A-Za-z0-9_]*, an exponent
-# -?[0-9]+.  The classes are spelled out because \s, \w and \d match Unicode.
-_WS, _ID = r"[ \t\r\n]*", r"([A-Za-z_][A-Za-z0-9_]*)"
-_SPACE = re.compile(_WS)
-_NAME = re.compile(_WS + _ID + "?")
-# a name and its optional exponent, with the whitespace before and after
-# the name and after "^"
-_TOKEN = re.compile(_WS + "(?:" + _ID + _WS
-                    + r"(?:\^" + _WS + "(-?)([0-9]*))?)?")
+# -?[0-9]+ and whitespace [ \t\r\n]; the classes are spelled out because
+# \s, \w and \d match Unicode.  A text is tokenized once, by `findall`: a
+# token is a name, an exponent ("^", whitespace, -?[0-9]*: a bad exponent
+# is one token too) or one other character, and whitespace is skipped.
+# Line and column are worked out only for an error, by reading the text
+# again up to the token it names.
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\^[ \t\r\n]*-?[0-9]*|[^ \t\r\n]")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
+_END = " "  # ends every token list; no token is whitespace, so none equals it
 # a token as quoted in an error message: up to whitespace or punctuation
-_EXCERPT = re.compile(r"\s*([^\s,;<>|]*)")
+_EXCERPT = re.compile(r"[^\s,;<>|]*")
 
 
-class _Tokenizer:
-    """Reads the grammar by regex from `pos`; an error works out its line
-    and column from `pos` when it is raised."""
+def _token_at(text: str, i: int):
+    """Token i of `text` as a match, or None past the last token."""
+    return next(islice(_TOKEN.finditer(text), i, None), None)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def error(self, msg):
-        text, pos = self.text, self.pos
-        raise ParseError(msg, text.count("\n", 0, pos) + 1,
-                         pos - text.rfind("\n", 0, pos))
+def _error(text: str, msg: str, i: int, end: bool = False) -> ParseError:
+    """The ParseError for `msg` at the start of token i of `text`, or with
+    `end` just after it; past the last token, at the end of the text."""
+    m = _token_at(text, i)
+    pos = len(text) if m is None else m.end() if end else m.start()
+    return ParseError(msg, text.count("\n", 0, pos) + 1,
+                      pos - text.rfind("\n", 0, pos))
 
-    def peek(self):
-        self.pos = pos = _SPACE.match(self.text, self.pos).end()
-        return self.text[pos] if pos < len(self.text) else None
 
-    def take_punct(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
+def _names(toks: list, i: int):
+    """Names separated by commas or whitespace from token i, and the index
+    of the token that ends them."""
+    names = []
+    while toks[i][0] in _NAME_START:
+        names.append(toks[i])
+        i += 1
+        if toks[i] == ",":
+            i += 1
+    return names, i
 
-    def expect(self, ch: str):
-        if not self.take_punct(ch):
-            self.error(f"expected {ch!r}")
 
-    def take_name(self) -> Optional[str]:
-        m = _NAME.match(self.text, self.pos)
-        self.pos = m.end()
-        return m.group(1)
-
-    def take_names(self) -> list:
-        """Names separated by commas or whitespace."""
-        names = []
-        while (name := self.take_name()) is not None:
-            names.append(name)
-            self.take_punct(",")
-        return names
-
-    def take_keyword(self, kw: str) -> bool:
-        save = self.pos
-        if self.take_name() == kw:
-            return True
-        self.pos = save
-        return False
-
-    def expect_keyword(self, kw: str):
-        if not self.take_keyword(kw):
-            self.error(f"expected keyword {kw!r}")
-
-    def take_word(self, known=None) -> list:
-        """One or more tokens ``name`` or ``name^exp`` as (name, exp), the
-        exponent a non-zero integer; with `known`, every name must be in
-        it."""
-        text, toks = self.text, []
-        while True:
-            start = self.pos
-            m = _TOKEN.match(text, start)
-            self.pos = m.end()
-            name, sign, digits = m.groups()
-            if name is None:
-                break
-            if sign is None:
-                toks.append((name, 1))
-            elif digits and int(digits):
-                toks.append((name, -int(digits) if sign else int(digits)))
+def _word(text: str, toks: list, i: int):
+    """One or more tokens ``name`` or ``name^exp`` from token i as a list of
+    (name, exp), the exponent a non-zero integer, and the index of the
+    token after them."""
+    word = []
+    while (name := toks[i])[0] in _NAME_START:
+        exp = toks[i + 1]
+        if exp[0] != "^":
+            word.append((name, 1))
+            i += 1
+            continue
+        try:
+            e = int(exp[1:])
+        except ValueError:  # no digits, or more than int() reads
+            e = None
+        if not e:
+            token = _EXCERPT.match(text, _token_at(text, i).start()).group()
+            if e == 0:
+                msg = f"zero exponent in {token!r}"
+            elif exp[-1].isdigit():
+                digits = sum(c.isdigit() for c in exp)
+                msg = f"exponent too long ({digits} digits) in {name!r}"
             else:
-                token = _EXCERPT.match(text, start).group(1)
-                self.error(f"{'zero' if digits else 'bad'} exponent "
-                           f"in {token!r}")
-        if not toks:
-            self.error("expected a word")
-        if known is not None:
-            self.check_known(toks, known, "unknown generator")
-        return toks
+                msg = f"bad exponent in {token!r}"
+            raise _error(text, msg, i + 1, end=True)
+        word.append((name, e))
+        i += 2
+    if not word:
+        raise _error(text, "expected a word", i)
+    return word, i
 
-    def check_known(self, toks, known, what: str):
-        for name, _ in toks:
-            if name not in known:
-                self.error(f"{what} {name!r}")
+
+def _check_known(text: str, word, known, what: str, i: int, end=False):
+    for name, _ in word:
+        if name not in known:
+            raise _error(text, f"{what} {name!r}", i, end)
 
 
 def parse_word(text: str, generators=None, where: str = "") -> Word:
     """Parse a coefficient word: the presentation grammar's relator word
     (whitespace-separated ``name`` or ``name^int`` tokens), or ``1`` (or
-    nothing) for the identity.  With `generators`, every name must be one
-    of them.
+    nothing, up to the grammar's whitespace) for the identity.  With
+    `generators`, every name must be one of them.
 
     The word comes back freely reduced.  Errors are ValueErrors carrying
     no position, their message prefixed with `where`.
     """
-    if text.strip() in ("", "1"):
+    if text.strip(" \t\r\n") in ("", "1"):
         return ()
-    tz = _Tokenizer(text)
+    toks = _TOKEN.findall(text) + [_END]
     try:
-        toks = tz.take_word(generators)
-        if tz.peek() is not None:
-            tz.error(f"unexpected {tz.peek()!r} after the word")
+        word, i = _word(text, toks, 0)
+        if generators is not None:
+            _check_known(text, word, generators, "unknown generator", i)
+        if toks[i] is not _END:
+            raise _error(text, f"unexpected {toks[i][0]!r} after the word", i)
     except ParseError as err:
         raise ValueError(where + err.msg) from None
-    return free_reduce(toks)
+    return free_reduce(word)
 
 
 def parse_presentation(text: str) -> RelativePresentation:
@@ -643,41 +628,56 @@ def parse_presentation(text: str) -> RelativePresentation:
     between relators.  Relative relators come back raw: reduction is a
     separate step.
     """
-    tz = _Tokenizer(text)
-    tz.expect_keyword("group")
-    tz.expect("<")
-    gens = tz.take_names()
+    toks = _TOKEN.findall(text) + [_END]
+    if toks[0] != "group":
+        raise ParseError("expected keyword 'group'", 1, 1)
+    if toks[1] != "<":
+        raise _error(text, "expected '<'", 1)
+    gens, i = _names(toks, 2)
     if not gens:
-        tz.error("coefficient group needs at least one generator")
-    tz.expect("|")
+        raise _error(text, "coefficient group needs at least one generator", i)
+    if toks[i] != "|":
+        raise _error(text, "expected '|'", i)
+    i += 1
     relators = []
-    while tz.peek() != ">":
-        if tz.peek() is None:
-            tz.error("unterminated group presentation")
-        relators.append(tuple(tz.take_word()))
-        if not tz.take_punct(","):
+    while toks[i] != ">":
+        if toks[i] is _END:
+            raise _error(text, "unterminated group presentation", i)
+        word, i = _word(text, toks, i)
+        relators.append(word)
+        if toks[i] != ",":
             break
-    tz.expect(">")
-    tz.expect(";")
+        i += 1
+    if toks[i] != ">":
+        raise _error(text, "expected '>'", i)
+    i += 1
+    if toks[i] != ";":
+        raise _error(text, "expected ';'", i)
     for rel in relators:
-        tz.check_known(rel, gens, "relator uses unknown generator")
-    x_gens = tz.take_names()
+        _check_known(text, rel, gens, "relator uses unknown generator", i,
+                     end=True)
+    x_gens, i = _names(toks, i + 1)
     if not x_gens:
-        tz.error("expected at least one x-generator")
+        raise _error(text, "expected at least one x-generator", i)
     clash = set(x_gens) & set(gens)
     if clash:
-        tz.error(f"x-generator {sorted(clash)[0]!r} clashes with a coefficient generator")
-    tz.expect(";")
+        raise _error(text, f"x-generator {sorted(clash)[0]!r} clashes with a coefficient generator", i)
+    if toks[i] != ";":
+        raise _error(text, "expected ';'", i)
     known = set(gens) | set(x_gens)
     rel_words = []
     while True:
-        tz.expect_keyword("rel")
-        syls = [(X, name, exp) if name in x_gens else (C, ((name, exp),))
-                for name, exp in tz.take_word(known)]
-        rel_words.append(FreeProductWord(tuple(syls)))
-        if not tz.take_punct(";"):
+        i += 1
+        if toks[i] != "rel":
+            raise _error(text, "expected keyword 'rel'", i - 1, end=True)
+        word, i = _word(text, toks, i + 1)
+        _check_known(text, word, known, "unknown generator", i)
+        rel_words.append(FreeProductWord(tuple(
+            (X, name, e) if name in x_gens else (C, ((name, e),))
+            for name, e in word)))
+        if toks[i] != ";":
             break
-    if tz.peek() is not None:
-        tz.error("trailing input after final relator")
+    if toks[i] is not _END:
+        raise _error(text, "trailing input after final relator", i)
     coeff = CoefficientGroup(tuple(gens), tuple(relators))
     return RelativePresentation(coeff, tuple(x_gens), tuple(rel_words))

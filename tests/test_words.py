@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import signal
 import string
+import sys
 
 import pytest
 
+from relasph.cli import main as cli_main
 from relasph.coset import context_for
 from relasph.words import (
     C,
@@ -78,6 +81,8 @@ _GRAMMAR_TEXTS = (
     "group <a, b | a^2, b^4, a b a^-1 b^-1>; x; rel x^3 a b^-1 x^-2 b^2",
 )
 _MUTATION_CHARS = string.ascii_letters + string.digits + "^-,;<>| \t\n\u00e9\u00b2\u0663"
+_WORD_PIECES = ("g", "h", "x", "q", "gh", "_", "g^2", "h^-1", "^", "-", "0",
+                "1", "3", "+", " ", "\u00e9", "\u00b2", "\u0663")
 _MUTANT_DIGEST = (
     "f22aa8bb429ec95b9c3e3a3782eee849511af867fcabd047134e3491e9fa3c79")
 
@@ -120,11 +125,9 @@ def test_parse_word_accepts_the_relator_words():
     # parse_word reads exactly what a relator word of the presentation
     # grammar reads, plus "1" and "" for the identity
     rng = random.Random(5)
-    pieces = ("g", "h", "x", "q", "gh", "_", "g^2", "h^-1", "^", "-", "0",
-              "1", "3", "+", " ", "\u00e9", "\u00b2", "\u0663")
     accepted = 0
     for _ in range(1000):
-        w = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 5)))
+        w = "".join(rng.choice(_WORD_PIECES) for _ in range(rng.randint(1, 5)))
         if w.strip() in ("", "1"):
             assert parse_word(w) == ()
             continue
@@ -141,6 +144,242 @@ def test_parse_word_accepts_the_relator_words():
         assert got == want, w
         accepted += got is not None
     assert accepted >= 50
+
+
+def test_parse_word_identity_is_grammar_whitespace():
+    # only the grammar's whitespace [ \t\r\n] surrounds an identity "1";
+    # other Unicode whitespace is a character the grammar does not read
+    for text in ("\u00a0", "\x0b", "\u20031"):
+        with pytest.raises(ValueError, match="expected a word"):
+            parse_word(text, ("g",))
+    for text in (" 1 ", "\t", "", "\r\n1\t"):
+        assert parse_word(text, ("g",)) == ()
+
+
+def test_exponent_beyond_the_int_digit_limit_is_a_parse_error(
+        tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python reads any number of digits")
+    digits = "1" * (limit + 1)
+    text = f"group <g | g^{digits}>; x; rel x g"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert err.value.msg == f"exponent too long ({limit + 1} digits) in 'g'"
+    assert (err.value.line, err.value.col) == (1, len("group <g | g^") + limit + 2)
+    with pytest.raises(ValueError) as err:
+        parse_word(f"g^-{digits}", ("g",), "--subgroup: ")
+    assert str(err.value) == (
+        f"--subgroup: exponent too long ({limit + 1} digits) in 'g'")
+    f = tmp_path / "p.txt"
+    f.write_text(text)
+    assert cli_main(["classify", str(f)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        f"error: exponent too long ({limit + 1} digits) in 'g' "
+        f"(line 1, column {len('group <g | g^') + limit + 2})\n")
+    f.write_text("group <h | h^2>; x; rel x")
+    assert cli_main(["order", str(f), "--subgroup", f"h^{digits}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        f"error: --subgroup: exponent too long ({limit + 1} digits) in 'h'\n")
+
+
+# -- a frozen copy of the former reader, the reference for the one below -----
+
+_REF_WS, _REF_ID = r"[ \t\r\n]*", r"([A-Za-z_][A-Za-z0-9_]*)"
+_REF_SPACE = re.compile(_REF_WS)
+_REF_NAME = re.compile(_REF_WS + _REF_ID + "?")
+_REF_TOKEN = re.compile(_REF_WS + "(?:" + _REF_ID + _REF_WS
+                        + r"(?:\^" + _REF_WS + "(-?)([0-9]*))?)?")
+_REF_EXCERPT = re.compile(r"\s*([^\s,;<>|]*)")
+
+
+class _RefTokenizer:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def error(self, msg):
+        text, pos = self.text, self.pos
+        raise ParseError(msg, text.count("\n", 0, pos) + 1,
+                         pos - text.rfind("\n", 0, pos))
+
+    def peek(self):
+        self.pos = pos = _REF_SPACE.match(self.text, self.pos).end()
+        return self.text[pos] if pos < len(self.text) else None
+
+    def take_punct(self, ch):
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch):
+        if not self.take_punct(ch):
+            self.error(f"expected {ch!r}")
+
+    def take_name(self):
+        m = _REF_NAME.match(self.text, self.pos)
+        self.pos = m.end()
+        return m.group(1)
+
+    def take_names(self):
+        names = []
+        while (name := self.take_name()) is not None:
+            names.append(name)
+            self.take_punct(",")
+        return names
+
+    def take_keyword(self, kw):
+        save = self.pos
+        if self.take_name() == kw:
+            return True
+        self.pos = save
+        return False
+
+    def expect_keyword(self, kw):
+        if not self.take_keyword(kw):
+            self.error(f"expected keyword {kw!r}")
+
+    def take_word(self, known=None):
+        text, toks = self.text, []
+        while True:
+            start = self.pos
+            m = _REF_TOKEN.match(text, start)
+            self.pos = m.end()
+            name, sign, digits = m.groups()
+            if name is None:
+                break
+            if sign is None:
+                toks.append((name, 1))
+            elif digits and int(digits):
+                toks.append((name, -int(digits) if sign else int(digits)))
+            else:
+                token = _REF_EXCERPT.match(text, start).group(1)
+                self.error(f"{'zero' if digits else 'bad'} exponent "
+                           f"in {token!r}")
+        if not toks:
+            self.error("expected a word")
+        if known is not None:
+            self.check_known(toks, known, "unknown generator")
+        return toks
+
+    def check_known(self, toks, known, what):
+        for name, _ in toks:
+            if name not in known:
+                self.error(f"{what} {name!r}")
+
+
+def _ref_parse_word(text, generators=None, where=""):
+    if text.strip() in ("", "1"):
+        return ()
+    tz = _RefTokenizer(text)
+    try:
+        toks = tz.take_word(generators)
+        if tz.peek() is not None:
+            tz.error(f"unexpected {tz.peek()!r} after the word")
+    except ParseError as err:
+        raise ValueError(where + err.msg) from None
+    return free_reduce(toks)
+
+
+def _ref_parse_presentation(text):
+    tz = _RefTokenizer(text)
+    tz.expect_keyword("group")
+    tz.expect("<")
+    gens = tz.take_names()
+    if not gens:
+        tz.error("coefficient group needs at least one generator")
+    tz.expect("|")
+    relators = []
+    while tz.peek() != ">":
+        if tz.peek() is None:
+            tz.error("unterminated group presentation")
+        relators.append(tuple(tz.take_word()))
+        if not tz.take_punct(","):
+            break
+    tz.expect(">")
+    tz.expect(";")
+    for rel in relators:
+        tz.check_known(rel, gens, "relator uses unknown generator")
+    x_gens = tz.take_names()
+    if not x_gens:
+        tz.error("expected at least one x-generator")
+    clash = set(x_gens) & set(gens)
+    if clash:
+        tz.error(f"x-generator {sorted(clash)[0]!r} clashes with a coefficient generator")
+    tz.expect(";")
+    known = set(gens) | set(x_gens)
+    rel_words = []
+    while True:
+        tz.expect_keyword("rel")
+        syls = [(X, name, exp) if name in x_gens else (C, ((name, exp),))
+                for name, exp in tz.take_word(known)]
+        rel_words.append(FreeProductWord(tuple(syls)))
+        if not tz.take_punct(";"):
+            break
+    if tz.peek() is not None:
+        tz.error("trailing input after final relator")
+    coeff = CoefficientGroup(tuple(gens), tuple(relators))
+    return RelativePresentation(coeff, tuple(x_gens), tuple(rel_words))
+
+
+def _outcome(parse, *args):
+    try:
+        return repr(parse(*args))
+    except ParseError as err:
+        return ("ParseError", err.msg, err.line, err.col)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def _edit(rng, text, chars):
+    """Insert, replace or delete one character of `text`."""
+    i = rng.randrange(len(text) + 1)
+    op = rng.randrange(3)
+    if op == 0:
+        return text[:i] + rng.choice(chars) + text[i:]
+    if op == 1:
+        return text[:i] + rng.choice(chars) + text[i + 1:]
+    return text[:i] + text[i + 1:]
+
+
+def test_reader_matches_the_frozen_former_reader():
+    # 10,000 seeded inputs read by both readers give equal results, or
+    # errors with equal message, line and column.  Two inputs are left
+    # out, because the reader changed them on purpose: a parse_word text
+    # that is the identity only up to Unicode whitespace (the former reader
+    # took "\u00a0" for it), and exponents of more digits than int() reads
+    # (none arises here).
+    rng = random.Random(20261020)
+    chars = _MUTATION_CHARS + "\r\x0b\u00a0\u2003"
+    seen = {"parsed": 0, "rejected": 0, "later line": 0, "word": 0}
+    for k in range(8000):
+        text = rng.choice(_GRAMMAR_TEXTS)
+        for _ in range(1 + k % 2):
+            text = _edit(rng, text, chars)
+        if k % 4 == 3:
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(text) + 1)
+                text = text[:i] + "\n" + text[i:]
+        want = _outcome(_ref_parse_presentation, text)
+        assert _outcome(parse_presentation, text) == want, text
+        if isinstance(want, str):
+            seen["parsed"] += 1
+        else:
+            seen["rejected"] += 1
+            seen["later line"] += want[2] > 1
+    pieces = _WORD_PIECES + ("\t", "\n", ",", ";", "\u00a0", "\x0b")
+    for _ in range(2000):
+        w = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 5)))
+        if (w.strip() in ("", "1")) != (w.strip(" \t\r\n") in ("", "1")):
+            continue
+        for gens in (None, ("g", "h", "x")):
+            want = _outcome(_ref_parse_word, w, gens, "w: ")
+            assert _outcome(parse_word, w, gens, "w: ") == want, w
+            seen["word"] += 1
+    assert min(seen.values()) >= 500, seen
 
 
 def test_cyclic_reduction_examples():
