@@ -115,7 +115,8 @@ class CosetTable:
     compacted so the cosets are exactly 1..n and each column is n + 1
     long, row 0 unused.  ``enumerate_cosets`` checks a complete table
     before it returns it, so every entry is a coset; a budget table holds
-    no columns.  ``subs`` holds the subgroup generators as column tuples.
+    no columns.  ``subs`` holds the subgroup generators as column tuples,
+    and is empty in a budget table stopped before its words were expanded.
     """
 
     def __init__(self, pres: LiftedPresentation, subs: tuple, cols: list,
@@ -152,7 +153,8 @@ class CosetTable:
     def check(self) -> None:
         """Raise ValueError unless the table is complete, every entry is a
         coset whose inverse entry leads back, every relator closes at every
-        coset and every subgroup generator fixes coset 1.
+        coset, every subgroup generator fixes coset 1 and the orbit of
+        coset 1 holds every coset.
 
         The checks raise rather than assert, so they hold under python -O.
         """
@@ -180,6 +182,22 @@ class CosetTable:
             if self._image(1, w) != 1:
                 raise ValueError(
                     f"subgroup generator {w} does not fix coset 1")
+        # the entries are a permutation action, so the generators' columns
+        # alone reach the whole orbit; an int array keeps the queue at 4 B
+        # a coset
+        gens = cols[::2]
+        seen = bytearray(n + 1)
+        seen[1] = 1
+        todo = array("i", [1])
+        for a in todo:
+            for col in gens:
+                b = col[a]
+                if not seen[b]:
+                    seen[b] = 1
+                    todo.append(b)
+        if len(todo) != n:
+            raise ValueError(f"the orbit of coset 1 holds {len(todo)} "
+                             f"of the {n} cosets")
 
 
 def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
@@ -191,17 +209,22 @@ def enumerate_cosets(pres: LiftedPresentation, subgroup_words: Sequence[Word],
     status 'budget' once more than `cap` rows would be needed.  Under HLT
     each overflow first runs a lookahead-and-compaction rescue; the
     enumeration gives up when a rescue leaves the table at 98% of the cap
-    or more, or once more than 10 * cap cosets have been defined.
+    or more, or once more than 10 * cap cosets have been defined.  A
+    relator or subgroup word of more than 10 * cap letters gives a budget
+    table at once, before it is expanded into columns.
     Raises ValueError unless 1 <= cap <= MAX_CAP.
     """
     if not 1 <= cap <= MAX_CAP:
         raise ValueError(f"cap must be between 1 and {MAX_CAP}")
-    gen_index = {g: i for i, g in enumerate(pres.generators)}
-    rels = [_word_cols(r, gen_index) for r in pres.relators]
-    subs = tuple(_word_cols(free_reduce(w), gen_index)
-                 for w in subgroup_words)
     if strategy not in ("hlt", "felsch"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    words = [free_reduce(w) for w in subgroup_words]
+    if any(sum(abs(e) for _, e in w) > 10 * cap
+           for w in (*pres.relators, *words)):
+        return CosetTable(pres, (), [], 1, "budget", cap, 1)
+    gen_index = {g: i for i, g in enumerate(pres.generators)}
+    rels = [_word_cols(r, gen_index) for r in pres.relators]
+    subs = tuple(_word_cols(w, gen_index) for w in words)
     if not pres.generators:  # one coset, and no column to hold it
         t = CosetTable(pres, subs, [], 1, "complete", cap, 1)
     else:

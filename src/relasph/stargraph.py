@@ -151,6 +151,13 @@ def admissible_cycles(graph: StarGraph, ctx, max_len: int) -> list:
     each cycle gives the same cycles, labels and statuses, because the
     first representative met is the canonical form.
 
+    Canonicity is decided at s: every id on the path and every partner of
+    one is at least s, and a rotation starting above s is larger than the
+    path, so only the rotations starting at a later occurrence of s, and
+    the inverted rotations starting at s (one for each occurrence of s's
+    partner on the path), can be smaller.  The path is kept unless one of
+    those is.
+
     Labels the oracle cannot settle are reported as possibly admissible.
     """
     if max_len < 1:
@@ -165,11 +172,20 @@ def admissible_cycles(graph: StarGraph, ctx, max_len: int) -> list:
 
     def close(path, start):
         ids = tuple(path)
+        mate = partner[start]
         # only a path through s twice or through s's partner has other
         # representatives starting at s
-        if ((ids.count(start) > 1 or partner[start] in ids)
-                and ids != _canonical_cycle(ids, graph)):
-            return
+        if ids.count(start) > 1 or mate in ids:
+            for r in range(1, len(ids)):
+                e = ids[r]
+                if e == start:
+                    if ids[r:] + ids[:r] < ids:
+                        return
+                elif e == mate:
+                    # the inverse path read from s: partners of ids[r],
+                    # ids[r-1], ..., ids[0], ids[-1], ..., ids[r+1]
+                    if tuple([partner[f] for f in ids[r::-1] + ids[:r:-1]]) < ids:
+                        return
         label = free_reduce([syl for eid in ids for syl in edges[eid].label])
         triv = ctx.is_trivial_word(label)
         if triv == TriState.YES:
@@ -275,9 +291,14 @@ def _lightest_cycle(product: ProductGraph, wt: list,
     reduced cycle.
 
     Without `below` the cycle is one of least weight, among cycles of at
-    most `max_len` edges when that is given.  With `below` the search stops
-    at the first start edge closing a cycle lighter than `below`, and None
-    means that every admissible cycle weighs at least `below`.
+    most `max_len` edges when that is given; every edge is a root, in id
+    order, and a later root replaces the witness only with a lighter cycle.
+    With `below` the search stops at the first root closing a cycle lighter
+    than `below`, and None means that every admissible cycle weighs at
+    least `below`.  Such a query roots only at the edges with an id below
+    their partner's: both edges of a pair weigh the same, so a cycle's
+    inverse weighs what it does and is admissible with it, and one of the
+    two runs through such an edge.
     """
     edges = product.graph.edges
     width = product.width
@@ -289,6 +310,8 @@ def _lightest_cycle(product: ProductGraph, wt: list,
     limit = (max_len - 1) if max_len is not None else None
     # cycles are rooted at each start edge with coset 1
     for start in edges:
+        if below is not None and start.eid > start.partner:
+            continue
         # level-by-level relaxation from the start edge's head; the first
         # step excludes the start's partner through `moves`.  Frontiers
         # keep duplicates, and a state relaxes with its distance when popped.
@@ -339,9 +362,16 @@ def _lightest_cycle(product: ProductGraph, wt: list,
 def admissible_cycle_below(product: ProductGraph, wt: list, below: int):
     """Whether some admissible cycle weighs less than `below`, on the int
     weights `wt` per edge id: (weight, edge ids) of one such cycle, or
-    None.  Raises NegativeCycleError as min_admissible_cycle_weight does."""
+    None.  Raises NegativeCycleError as min_admissible_cycle_weight does.
+
+    Both edges of a pair must weigh the same, as in _integer_weights, or
+    it raises ValueError: the search roots only at the edge of each pair
+    with the lower id and finds the other orientation of a cycle that runs
+    through neither root."""
     if _negative_cycle(product.graph.successors, wt):
         raise NegativeCycleError("negative cyclically reduced cycle detected")
+    if any(wt[e.eid] != wt[e.partner] for e in product.graph.edges):
+        raise ValueError("the two edges of a pair weigh differently")
     return _lightest_cycle(product, wt, below=below)
 
 

@@ -12,7 +12,7 @@ import pytest
 import relasph
 from relasph.classify import ORDER_VS_G_CAP
 from relasph.cli import main
-from relasph.coset import MAX_CAP
+from relasph.coset import DEFAULT_CAP, MAX_CAP
 
 
 def run(capsys, *argv):
@@ -204,6 +204,20 @@ def test_order_counts_through_the_first_generator_when_it_can(
         rc, out, _ = run(capsys, "order", str(f))
         assert rc == 0 and out == line + "\n"
         assert calls == [subs], name
+
+
+def test_order_with_a_huge_exponent_exceeds_the_budget(tmp_path, capsys,
+                                                       monkeypatch):
+    """A coefficient relator of 10^12 letters is over any budget: order
+    answers ExceedsBudget, with or without --subgroup, and expands no
+    word (it used to end in a MemoryError traceback)."""
+    monkeypatch.delenv("ASPH_COSET_CAP", raising=False)
+    f = tmp_path / "p.txt"
+    f.write_text("group <h | h^1000000000000>; x; rel x^2 h x^-1 h")
+    for extra, cap in (([], DEFAULT_CAP), (["--subgroup", "h"], DEFAULT_CAP),
+                       (["--cap", "50"], 50)):
+        rc, out, err = run(capsys, "order", str(f), *extra)
+        assert (rc, out, err) == (0, f"ExceedsBudget({cap})\n", ""), extra
 
 
 def test_order_bogus_strategy_exits_2(tmp_path, capsys):

@@ -13,7 +13,9 @@ import pytest
 
 from relasph.classify import TABLE1_FIXTURES
 from relasph.coset import (
+    DEFAULT_CAP,
     MAX_CAP,
+    CosetTable,
     GroupContext,
     LiftedPresentation,
     abelian_order_of_word,
@@ -158,6 +160,42 @@ def test_check_raises_under_python_O():
         "entry entry (1,0) is inverse-inconsistent",
         "subgroup subgroup generator (2,) does not fix coset 1",
     ]
+
+
+def test_check_rejects_a_table_that_is_not_transitive():
+    """Two cosets, each fixed by a, meet every other condition of a coset
+    table of <a | a^2> over <a>, but coset 2 is not in the orbit of coset
+    1; the one-coset table passes."""
+    pres = LiftedPresentation(("a",), ((("a", 2),),))
+    fixed = CosetTable(pres, ((0,),), [array("i", [0, 1, 2])] * 2, 2,
+                       "complete", 100, 2)
+    with pytest.raises(ValueError,
+                       match="orbit of coset 1 holds 1 of the 2 cosets"):
+        fixed.check()
+    t = enumerate_cosets(pres, [(("a", 1),)], 100)
+    assert t.n == 1 and t.cols == [array("i", [0, 1])] * 2
+
+
+def test_a_word_longer_than_ten_times_the_cap_is_over_budget():
+    """A relator or subgroup word of more than 10 * cap letters gives a
+    budget table without being expanded; one of 10 * cap letters is
+    enumerated, and a subgroup word is counted freely reduced."""
+    for e, status in ((50, "complete"), (51, "budget")):
+        zn = LiftedPresentation(("a",), ((("a", e),),))
+        t = enumerate_cosets(zn, [(("a", 1),)], 5)
+        assert (t.status, t.n) == (status, 1), e
+    huge = 10 ** 12
+    z2 = LiftedPresentation(("a",), ((("a", 2),),))
+    t = enumerate_cosets(z2, [(("a", huge), ("a", -huge), ("a", 1))], 5)
+    assert (t.status, t.n) == ("complete", 1)
+    t = enumerate_cosets(z2, [(("a", huge),)], MAX_CAP)
+    assert (t.status, t.cols, t.total_defined) == ("budget", [], 1)
+    zhuge = LiftedPresentation(("a",), ((("a", huge),),))
+    for strategy in ("hlt", "felsch"):
+        t = enumerate_cosets(zhuge, [(("a", 1),)], MAX_CAP, strategy)
+        assert (t.status, t.cols, t.total_defined) == ("budget", [], 1)
+    assert order_via_cyclic_subgroup(zhuge, (("a", 1),)) == \
+        OrderResult.exceeds(DEFAULT_CAP)
 
 
 def test_enumerate_cosets_checks_the_table_it_returns(monkeypatch):

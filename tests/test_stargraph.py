@@ -512,19 +512,39 @@ def test_threshold_query_agrees_with_the_minimum():
     """admissible_cycle_below on one prebuilt product graph finds a cycle
     exactly when the minimum admissible weight is below the threshold, and
     the cycle it gives is a closed, cyclically reduced, admissible path of
-    the weight it reports; a negative cycle raises as the minimum does."""
+    the weight it reports; a negative cycle raises as the minimum does.
+    The query roots only at one edge of each pair and relies on a cycle's
+    inverse to cover the other, so the coefficient groups include the
+    non-abelian S3 and S3 x Z3 as well as cyclic ones."""
     rng = random.Random(20261019)
     values = _candidate_values(3)
     outcomes = set()
-    for _ in range(150):
-        n = rng.randint(2, 12)
-        l = rng.randint(1, 4)
-        k = rng.choice([k for k in range(-4, 5) if k])
-        a, b = rng.randint(1, n - 1), rng.randint(1, n - 1)
-        G = cyclic(n)
-        w = fpw(xsyl("x", l), csyl((("g", a),)), xsyl("x", k), csyl((("g", b),)))
-        graph = build_star_graph(RelativePresentation(G, ("x",), (w,)))
-        ctx = context_for(G, 1000)
+
+    def instances():
+        for _ in range(150):
+            n = rng.randint(2, 12)
+            l = rng.randint(1, 4)
+            k = rng.choice([k for k in range(-4, 5) if k])
+            a, b = rng.randint(1, n - 1), rng.randint(1, n - 1)
+            yield "cyclic", RelativePresentation(cyclic(n), ("x",), (fpw(
+                xsyl("x", l), csyl((("g", a),)), xsyl("x", k),
+                csyl((("g", b),))),))
+        words = ("g", "h", "h^-1", "g h", "h g", "g h^-1", "h g h")
+        for text, order in (
+                ("<g, h | g^2, h^3, g h g h>", 6),
+                ("<g, h | g^2, h^3, g h g h g^-1 h^-1 g^-1 h^-1>", 18)):
+            for _ in range(40):
+                l = rng.randint(1, 3)
+                k = rng.choice((-3, -2, -1, 1, 2, 3))
+                u, v = rng.choice(words), rng.choice(words)
+                p = parse_presentation(
+                    f"group {text}; x; rel x^{l} {u} x^{k} {v}")
+                assert context_for(p.coeff, 1000).regular_table().n == order
+                yield order, p
+
+    for group, p in instances():
+        graph = build_star_graph(p)
+        ctx = context_for(p.coeff, 1000)
         product = product_graph(graph, ctx.regular_table())
         floor = rng.choice((-1, 0, Fraction(1, 3)))
         theta = {pid: rng.choice([v for v in values if v >= floor])
@@ -550,14 +570,23 @@ def test_threshold_query_agrees_with_the_minimum():
         for e in ids:
             label = wmul(label, graph.edges[e].label)
         assert ctx.is_trivial_word(label) == TriState.YES
-        outcomes.add("weight")
-    assert outcomes == {"weight", "negative"}
+        outcomes.add(("weight", group))
+    assert outcomes == {("weight", "cyclic"), ("weight", 6), ("weight", 18),
+                        "negative"}
     # a single-letter relator closes no admissible cycle at all
     G = cyclic(5)
     graph = build_star_graph(
         RelativePresentation(G, ("x",), (fpw(xsyl("x", 1), csyl((("g", 1),))),)))
     product = product_graph(graph, context_for(G, 1000).regular_table())
     assert admissible_cycle_below(product, [-1] * len(graph.edges), 10 ** 9) is None
+    # rooting at one edge of a pair is sound only when both weigh the same
+    graph = build_star_graph(RelativePresentation(G, ("x",), (fpw(
+        xsyl("x", 2), csyl((("g", 1),)), xsyl("x", -1), csyl((("g", 2),))),)))
+    product = product_graph(graph, context_for(G, 1000).regular_table())
+    wt = [1] * len(graph.edges)
+    wt[graph.edges[0].partner] = 2
+    with pytest.raises(ValueError, match="pair weigh differently"):
+        admissible_cycle_below(product, wt, 10 ** 9)
 
 
 def test_dot_export():
