@@ -46,7 +46,12 @@ from .pictures import (
     validate_picture,
 )
 from .stargraph import build_star_graph, to_dot
-from .weights import WeightFunction, check_weight_function, search_weight_function
+from .weights import (
+    MAX_DENOMINATOR_BOUND,
+    WeightFunction,
+    check_weight_function,
+    search_weight_function,
+)
 from .words import (
     TriState,
     cyclic,
@@ -342,7 +347,9 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("weak", "full"), default="weak")
     p.add_argument("--bound", type=int, default=6,
                    help="cycle-length bound for non-exact condition II")
-    p.add_argument("--denominator-bound", type=int, default=3)
+    p.add_argument("--denominator-bound", type=int, default=3,
+                   help="largest denominator of a searched weight, at most "
+                   f"{MAX_DENOMINATOR_BOUND}")
     p.set_defaults(fn=cmd_weighttest)
 
     p = sub.add_parser("picture", help="validate / reduce a picture")

@@ -14,7 +14,9 @@ groups the exact minimum weight of an admissible cycle is computed on the
 product of the star graph with the group's regular representation.  The
 product (ProductGraph) does not depend on the weights, and one relaxation
 over it serves both queries: the exact minimum with a witness cycle, and
-whether some admissible cycle is lighter than a threshold.  Over any
+whether some admissible cycle is lighter than a threshold, which stops at
+the first such cycle it closes.  Both first run a Bellman-Ford that
+returns a negative cyclically reduced cycle when there is one.  Over any
 other group only cycles up to a length bound are enumerated.  Each cycle
 is listed once, by its canonical form: the lexicographically least
 rotation over both orientations.  That form starts at the least edge id
@@ -215,7 +217,12 @@ def admissible_cycles(graph: StarGraph, ctx, max_len: int) -> list:
 
 class NegativeCycleError(ValueError):
     """A cyclically reduced closed cycle of negative weight exists, so the
-    minimum admissible weight is unbounded below."""
+    minimum admissible weight is unbounded below.  `cycle` holds the edge
+    ids of one such cycle, when the raiser knows one."""
+
+    def __init__(self, message: str, cycle: Optional[tuple] = None):
+        super().__init__(message)
+        self.cycle = cycle
 
 
 def _integer_weights(graph: StarGraph, theta: dict) -> tuple:
@@ -226,32 +233,73 @@ def _integer_weights(graph: StarGraph, theta: dict) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _negative_cycle(succ, wt: list) -> bool:
-    """Bellman-Ford on last-edge states from a virtual source, on the int
-    weights `wt` per edge id."""
+def _relax(succ, wt: list, pred: list) -> Optional[int]:
+    """Bellman-Ford passes for _negative_cycle, recording in `pred` each
+    relaxed state's predecessor: None when a pass changes nothing, else the
+    state whose predecessor walk finds a negative cycle."""
     dist = [0] * len(succ)
     # without a negative cycle every distance is the weight of a path
     # through distinct states, at least the sum of the negative weights
     floor = sum(w for w in wt if w < 0)
     for _ in range(len(succ) + 1):
-        changed = False
+        last = None
         for e, nexts in enumerate(succ):
             de = dist[e]
             for f in nexts:
                 if de + wt[f] < dist[f]:
                     dist[f] = de + wt[f]
+                    pred[f] = e
                     if dist[f] < floor:
-                        return True
-                    changed = True
-        if not changed:
-            return False
-    return True
+                        return f
+                    last = f
+        if last is None:
+            return None
+    return last
+
+
+def _negative_cycle(succ, wt: list) -> Optional[tuple]:
+    """The edge ids of a closed successor walk of negative weight on the int
+    weights `wt` per edge id, in walk order, or None when there is none.
+
+    The walk is a cycle of the predecessor graph that _relax leaves on
+    last-edge states, and such a cycle is negative: along it each distance
+    is at least its predecessor's plus the step's weight, and the step that
+    closed it was strict.  The predecessor walk starts from a state that
+    fell below the floor, which no chain through distinct states from an
+    unrelaxed state reaches, or from a state relaxed in pass n + 1 of n
+    states: a state last lowered in pass k has a predecessor last lowered
+    in pass k - 1 or later, so that chain meets no unrelaxed state.  After
+    n steps the walk is on the cycle.  The cycle is re-summed and checked
+    step by step, and RuntimeError is raised if either check fails.
+    """
+    n = len(succ)
+    pred = [None] * n
+    last = _relax(succ, wt, pred)
+    if last is None:
+        return None
+    for _ in range(n):
+        last = pred[last]
+        if last is None:
+            raise RuntimeError("predecessor walk left the relaxed states")
+    cycle = [last]
+    e = pred[last]
+    while e != last:
+        if e is None or len(cycle) > n:
+            raise RuntimeError("predecessor walk found no cycle")
+        cycle.append(e)
+        e = pred[e]
+    cycle.reverse()
+    if sum(wt[e] for e in cycle) >= 0 or not all(
+            f in succ[e] for e, f in zip(cycle, cycle[1:] + cycle[:1])):
+        raise RuntimeError("predecessor cycle is not a negative closed walk")
+    return tuple(cycle)
 
 
 def has_negative_cycle(graph: StarGraph, theta: dict) -> bool:
     """Whether some cyclically reduced closed cycle (labels ignored) has
     negative weight.  `theta` maps edge-pair ids to Fractions."""
-    return _negative_cycle(graph.successors, _integer_weights(graph, theta)[0])
+    return _negative_cycle(
+        graph.successors, _integer_weights(graph, theta)[0]) is not None
 
 
 class ProductGraph(NamedTuple):
@@ -283,6 +331,19 @@ def product_graph(graph: StarGraph, table) -> ProductGraph:
     return ProductGraph(graph, width, step, closing)
 
 
+def _chain(pred: list, st: int, width: int, most: int) -> tuple:
+    """The edge ids of the product walk that the predecessors `pred` give
+    for state st, first edge first; RuntimeError past `most` states."""
+    ids = []
+    while st is not None:
+        ids.append(st // width)
+        st = pred[st]
+        if len(ids) > most:
+            raise RuntimeError("predecessor chain loops")
+    ids.reverse()
+    return tuple(ids)
+
+
 def _lightest_cycle(product: ProductGraph, wt: list,
                     max_len: Optional[int] = None,
                     below: Optional[int] = None):
@@ -293,36 +354,46 @@ def _lightest_cycle(product: ProductGraph, wt: list,
     Without `below` the cycle is one of least weight, among cycles of at
     most `max_len` edges when that is given; every edge is a root, in id
     order, and a later root replaces the witness only with a lighter cycle.
-    With `below` the search stops at the first root closing a cycle lighter
-    than `below`, and None means that every admissible cycle weighs at
-    least `below`.  Such a query roots only at the edges with an id below
-    their partner's: both edges of a pair weigh the same, so a cycle's
-    inverse weighs what it does and is admissible with it, and one of the
-    two runs through such an edge.
+    With `below` the search stops after the first level, of any root, that
+    reaches a closing state lighter than `below`, and returns the cycle the
+    state's predecessors give, which need not be the lightest; its weight
+    is that walk's sum, at most the state's distance.  None means that
+    every admissible cycle weighs at least `below`.  Such a query roots at
+    only the edges with an id below their partner's: both edges of a pair
+    weigh the same, so a cycle's inverse weighs what it does and is
+    admissible with it, and one of the two runs through such an edge.
     """
     edges = product.graph.edges
     width = product.width
     step = product.step
     moves = [[(step[f], wt[f]) for f in nexts]
              for nexts in product.graph.successors]
-    best = below
+    best = None
     best_cycle = None
     limit = (max_len - 1) if max_len is not None else None
     # cycles are rooted at each start edge with coset 1
     for start in edges:
         if below is not None and start.eid > start.partner:
             continue
+        # close the cycle at the start edge's tail with trivial total label
+        # and a last edge other than the start's partner; the initial state
+        # alone covers single-edge loop cycles.  An existence query stops
+        # after the first level that reaches such a state lighter than
+        # `below`, checking only the few closing states.
+        closing = product.closing[start.eid]
+        need = None if below is None else below - wt[start.eid]
+        init = step[start.eid][1]
+        hit = init if need is not None and 0 < need and init in closing else None
         # level-by-level relaxation from the start edge's head; the first
         # step excludes the start's partner through `moves`.  Frontiers
         # keep duplicates, and a state relaxes with its distance when popped.
-        init = step[start.eid][1]
         dist = [None] * (len(edges) * width)
         pred = dist[:]
         dist[init] = 0
         reached = [init]  # in the order first reached
         frontier = [init]
         steps = 0
-        while frontier and (limit is None or steps < limit):
+        while hit is None and frontier and (limit is None or steps < limit):
             steps += 1
             new_frontier = []
             for st in frontier:
@@ -338,38 +409,39 @@ def _lightest_cycle(product: ProductGraph, wt: list,
                     pred[st2] = st
                     new_frontier.append(st2)
             frontier = new_frontier
-        # close the cycle at the start edge's tail with trivial total label
-        # and a last edge other than the start's partner; the initial state
-        # alone covers single-edge loop cycles
-        closing = product.closing[start.eid]
+            if need is not None:
+                for st in closing:
+                    if dist[st] is not None and dist[st] < need:
+                        hit = st
+                        break
+        if hit is not None:
+            ids = _chain(pred, hit, width, len(reached) + 1)
+            return sum(wt[e] for e in ids), ids
+        if below is not None:
+            continue
         for st in reached:
             if st in closing and (best is None or dist[st] + wt[start.eid] < best):
-                ids = []
-                cur = st
-                while cur is not None:
-                    ids.append(cur // width)
-                    cur = pred[cur]
-                    if len(ids) > len(reached) + 1:
-                        raise RuntimeError("predecessor chain loops")
-                ids.reverse()
                 best = dist[st] + wt[start.eid]
-                best_cycle = tuple(ids)
-        if below is not None and best_cycle is not None:
-            break
+                best_cycle = _chain(pred, st, width, len(reached) + 1)
     return None if best_cycle is None else (best, best_cycle)
 
 
 def admissible_cycle_below(product: ProductGraph, wt: list, below: int):
     """Whether some admissible cycle weighs less than `below`, on the int
-    weights `wt` per edge id: (weight, edge ids) of one such cycle, or
-    None.  Raises NegativeCycleError as min_admissible_cycle_weight does.
+    weights `wt` per edge id: (weight, edge ids) of one such cycle, the
+    first the search closes under `below` and not always the lightest, or
+    None.  Raises NegativeCycleError as min_admissible_cycle_weight does,
+    carrying the negative cycle _negative_cycle found, so that a caller
+    can test further weights against it without a Bellman-Ford.
 
     Both edges of a pair must weigh the same, as in _integer_weights, or
     it raises ValueError: the search roots only at the edge of each pair
     with the lower id and finds the other orientation of a cycle that runs
     through neither root."""
-    if _negative_cycle(product.graph.successors, wt):
-        raise NegativeCycleError("negative cyclically reduced cycle detected")
+    cycle = _negative_cycle(product.graph.successors, wt)
+    if cycle is not None:
+        raise NegativeCycleError("negative cyclically reduced cycle detected",
+                                 cycle)
     if any(wt[e.eid] != wt[e.partner] for e in product.graph.edges):
         raise ValueError("the two edges of a pair weigh differently")
     return _lightest_cycle(product, wt, below=below)
@@ -396,8 +468,10 @@ def min_admissible_cycle_weight(graph: StarGraph, theta: dict, ctx,
         raise ValueError("coefficient group is not enumerable within budget; "
                          "fall back to bounded admissible_cycles")
     wt, den = _integer_weights(graph, theta)
-    if _negative_cycle(graph.successors, wt):
-        raise NegativeCycleError("negative cyclically reduced cycle detected")
+    cycle = _negative_cycle(graph.successors, wt)
+    if cycle is not None:
+        raise NegativeCycleError("negative cyclically reduced cycle detected",
+                                 cycle)
     r = _lightest_cycle(product_graph(graph, table), wt, max_len)
     if r is None:
         return None

@@ -290,6 +290,19 @@ def test_weighttest_file(tmp_path, capsys):
     assert "sum = 2" in out and "VIOLATED (weight 2/3" in out
 
 
+def test_weighttest_search_rejects_a_huge_denominator_bound(tmp_path, capsys):
+    """A denominator bound of 10^5 would build about 6 * 10^9 candidate
+    values; the search refuses it at once with exit 2."""
+    f = tmp_path / "p.txt"
+    f.write_text("group <g | g^2>; x; rel x^3 g")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "weighttest", str(f), "search",
+                       "--denominator-bound", "100000")
+    assert time.perf_counter() - start < 5
+    assert (rc, out) == (2, "")
+    assert err == "error: denominator bound must be at most 100, not 100000\n"
+
+
 def test_weighttest_zero_denominator_exits_2(tmp_path, capsys):
     f = tmp_path / "p.txt"
     f.write_text("group <g | g^2>; x; rel x^3 g")

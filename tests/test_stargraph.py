@@ -11,6 +11,7 @@ from relasph.stargraph import (
     NegativeCycleError,
     _canonical_cycle,
     _integer_weights,
+    _negative_cycle,
     admissible_cycle_below,
     admissible_cycles,
     build_star_graph,
@@ -508,11 +509,78 @@ def test_min_weight_matches_rational_reference():
     assert outcomes == {"weight", None, NegativeCycleError}
 
 
+def _frozen_negative_cycle(succ, wt):
+    """The former boolean Bellman-Ford, with how it decided: 'settled' (a
+    pass changed nothing), 'floor' (a distance fell below the sum of the
+    negative weights) or 'passes' (all n + 1 passes changed something)."""
+    dist = [0] * len(succ)
+    floor = sum(w for w in wt if w < 0)
+    for _ in range(len(succ) + 1):
+        changed = False
+        for e, nexts in enumerate(succ):
+            de = dist[e]
+            for f in nexts:
+                if de + wt[f] < dist[f]:
+                    dist[f] = de + wt[f]
+                    if dist[f] < floor:
+                        return True, "floor"
+                    changed = True
+        if not changed:
+            return False, "settled"
+    return True, "passes"
+
+
+def test_negative_cycle_matches_the_frozen_boolean_test():
+    """_negative_cycle finds a cycle exactly when the former boolean test
+    says one exists, and the cycle is closed in the successor lists and
+    negative, on seeded star graphs of grid shapes with pair weights and on
+    seeded random successor lists; every way the former test decides
+    occurs, with each kind of input."""
+    rng = random.Random(20261021)
+
+    def star_graphs():
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            l = rng.randint(1, 4)
+            k = rng.choice([k for k in range(-4, 5) if k])
+            a, b = rng.randint(1, n - 1), rng.randint(1, n - 1)
+            graph = build_star_graph(RelativePresentation(cyclic(n), ("x",), (
+                fpw(xsyl("x", l), csyl((("g", a),)), xsyl("x", k),
+                    csyl((("g", b),))),)))
+            # the second pool closes cycles of weight -1 among many
+            # negative edges, whose distances stay above the floor through
+            # all n + 1 passes
+            pool = rng.choice((range(-6, 7), (-12, 11, 12)))
+            pair = {pid: rng.choice(pool) for pid in graph.pair_ids()}
+            yield graph.successors, [pair[graph.pair_id(e.eid)]
+                                     for e in graph.edges]
+
+    def successor_lists():
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            succ = tuple(tuple(sorted(rng.sample(range(n), rng.randint(0, min(n, 4)))))
+                         for _ in range(n))
+            yield succ, [rng.randint(-5, 8) for _ in range(n)]
+
+    for inputs in (star_graphs(), successor_lists()):
+        outcomes = set()
+        for succ, wt in inputs:
+            want, how = _frozen_negative_cycle(succ, wt)
+            got = _negative_cycle(succ, wt)
+            assert (got is not None) == want, (succ, wt)
+            if got is not None:
+                assert sum(wt[e] for e in got) < 0
+                assert all(f in succ[e] for e, f in zip(got, got[1:] + got[:1]))
+            outcomes.add(how)
+        assert outcomes == {"settled", "floor", "passes"}
+
+
 def test_threshold_query_agrees_with_the_minimum():
     """admissible_cycle_below on one prebuilt product graph finds a cycle
     exactly when the minimum admissible weight is below the threshold, and
     the cycle it gives is a closed, cyclically reduced, admissible path of
-    the weight it reports; a negative cycle raises as the minimum does.
+    the weight it reports, lighter than the threshold but not always the
+    lightest; a negative cycle raises as the minimum does.
     The query roots only at one edge of each pair and relies on a cycle's
     inverse to cover the other, so the coefficient groups include the
     non-abelian S3 and S3 x Z3 as well as cyclic ones."""
@@ -563,16 +631,21 @@ def test_threshold_query_agrees_with_the_minimum():
         least = exact[0] * den
         assert least.denominator == 1
         assert admissible_cycle_below(product, wt, int(least)) is None
-        weight, ids = admissible_cycle_below(product, wt, int(least) + 1)
-        assert weight == least == sum(wt[e] for e in ids)
-        assert all(f in graph.successors[e] for e, f in zip(ids, ids[1:] + ids[:1]))
-        label = ()
-        for e in ids:
-            label = wmul(label, graph.edges[e].label)
-        assert ctx.is_trivial_word(label) == TriState.YES
+        # a threshold well above the minimum can stop at a heavier cycle
+        for above in (1, den, 2 * den):
+            weight, ids = admissible_cycle_below(product, wt, int(least) + above)
+            assert least <= weight == sum(wt[e] for e in ids) < least + above
+            assert all(f in graph.successors[e]
+                       for e, f in zip(ids, ids[1:] + ids[:1]))
+            label = ()
+            for e in ids:
+                label = wmul(label, graph.edges[e].label)
+            assert ctx.is_trivial_word(label) == TriState.YES
+            if weight > least:
+                outcomes.add("heavier")
         outcomes.add(("weight", group))
     assert outcomes == {("weight", "cyclic"), ("weight", 6), ("weight", 18),
-                        "negative"}
+                        "negative", "heavier"}
     # a single-letter relator closes no admissible cycle at all
     G = cyclic(5)
     graph = build_star_graph(

@@ -10,6 +10,7 @@ from relasph.coset import context_for
 from relasph.stargraph import build_star_graph
 from relasph.weights import (
     CERTIFIED,
+    MAX_DENOMINATOR_BOUND,
     NOT_CERTIFIED,
     VIOLATED,
     WeightFunction,
@@ -197,9 +198,13 @@ def test_search_returns_verified_function():
 
 def test_search_space_cap_flag():
     graph, ctx = root_adjunction(6)
-    res = search_weight_function(graph, ctx, denominator_bound=3,
-                                 max_candidates=1)
-    assert res.found is None and res.capped
+    for denominator_bound in (3, MAX_DENOMINATOR_BOUND):
+        res = search_weight_function(graph, ctx, denominator_bound,
+                                     max_candidates=1)
+        assert res.found is None and res.capped
+    # the candidate list grows as the square of the bound
+    with pytest.raises(ValueError, match="at most 100, not 101"):
+        search_weight_function(graph, ctx, MAX_DENOMINATOR_BOUND + 1)
 
 
 def _frozen_candidate_values(denominator_bound):
@@ -290,6 +295,33 @@ def test_search_matches_frozen_search():
     res = search_weight_function(graph, ctx, 3, 4, max_candidates=12)
     assert (None, res.tried, res.capped) == \
         _frozen_search(graph, ctx, 3, 4, "weak", 12) == (None, 12, True)
+
+
+def test_search_rejects_candidates_by_negative_cycles_found(monkeypatch):
+    """A candidate whose weights close a negative cycle found for an earlier
+    candidate is rejected without a Bellman-Ford, so on the (43, 2, 1, 17,
+    36) template over Z_43 the search runs far fewer Bellman-Fords than it
+    tries candidates, and it returns what the former search does."""
+    from relasph import stargraph
+    bellman_ford = stargraph._negative_cycle
+    calls = []
+
+    def counting(succ, wt):
+        calls.append(1)
+        return bellman_ford(succ, wt)
+
+    G = cyclic(43, "t")
+    w = fpw(xsyl("x", 2), csyl((("t", 17),)), xsyl("x", 1), csyl((("t", 36),)))
+    graph = build_star_graph(RelativePresentation(G, ("x",), (w,)))
+    ctx = context_for(G, 1000)
+    want = _frozen_search(graph, ctx, 3, 6, "full", 200)
+    monkeypatch.setattr(stargraph, "_negative_cycle", counting)
+    res = search_weight_function(graph, ctx, 3, 6, max_candidates=200)
+    assert (res.found.weights, res.tried, res.capped) == want
+    assert want[:2] == ({0: 0, 1: Fraction(1, 3), 2: Fraction(2, 3)}, 192)
+    # one per candidate that no cut rejects, and one for the re-check of
+    # the function found: 19 here, against 193 without the cuts
+    assert len(calls) * 4 < res.tried
 
 
 def test_no_weight_function_for_nonaspherical_verdicts():
