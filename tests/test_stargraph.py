@@ -547,9 +547,9 @@ def test_negative_cycle_matches_the_frozen_boolean_test():
             graph = build_star_graph(RelativePresentation(cyclic(n), ("x",), (
                 fpw(xsyl("x", l), csyl((("g", a),)), xsyl("x", k),
                     csyl((("g", b),))),)))
-            # the second pool closes cycles of weight -1 among many
-            # negative edges, whose distances stay above the floor through
-            # all n + 1 passes
+            # the second pool (as in successor_lists) closes cycles of
+            # weight -1 among many negative edges, whose distances stay
+            # above the floor through all n + 1 passes
             pool = rng.choice((range(-6, 7), (-12, 11, 12)))
             pair = {pid: rng.choice(pool) for pid in graph.pair_ids()}
             yield graph.successors, [pair[graph.pair_id(e.eid)]
@@ -560,7 +560,8 @@ def test_negative_cycle_matches_the_frozen_boolean_test():
             n = rng.randint(1, 40)
             succ = tuple(tuple(sorted(rng.sample(range(n), rng.randint(0, min(n, 4)))))
                          for _ in range(n))
-            yield succ, [rng.randint(-5, 8) for _ in range(n)]
+            pool = rng.choice((range(-5, 9), (-12, 11, 12)))
+            yield succ, [rng.choice(pool) for _ in range(n)]
 
     for inputs in (star_graphs(), successor_lists()):
         outcomes = set()
