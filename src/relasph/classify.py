@@ -793,10 +793,12 @@ def verify_verdict(inst: Optional[LengthFourInstance], verdict: CaseVerdict,
     aspherical=yes demands that a finite defined group have exactly the
     order of G (the natural map must be injective with every finite
     subgroup conjugate into G); that enumeration stops at
-    min(cap, ORDER_VS_G_CAP) cosets.  A finite-order justification for
-    aspherical=no must reproduce the claimed order, computed by
-    `order_via_cyclic_subgroup` over G's first generator.  `inst` is read
-    only for those two claims, so an open verdict may pass None.
+    min(cap, ORDER_VS_G_CAP) cosets, and its table is not kept.  A
+    finite-order justification for aspherical=no must reproduce the
+    claimed order, computed by `order_via_cyclic_subgroup` over G's first
+    generator, which reads the oracle's table (the one `order` reads on
+    the same instance and cap).  `inst` is read only for those two claims,
+    so an open verdict may pass None.
     """
     checks = []
     if verdict.aspherical == YES and verdict.dr == NO:

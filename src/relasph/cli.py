@@ -36,7 +36,7 @@ from .classify import (
     fixture_order,
     verify_verdict,
 )
-from .coset import enumerate_cosets, lift
+from .coset import lift
 from .pictures import (
     cancel_dipole,
     curvature,
@@ -190,7 +190,7 @@ def cmd_order(args) -> int:
         return 0
     subgroup = [parse_word(chunk, lifted.generators, "--subgroup: ")
                 for chunk in args.subgroup.split(",")]
-    t = enumerate_cosets(lifted, subgroup, args.cap, strategy=args.strategy)
+    t = coset.context_for(lifted, args.cap).coset_table(subgroup, args.strategy)
     print(f"Index({t.n})" if t.complete else f"ExceedsBudget({args.cap})")
     return 0
 

@@ -30,6 +30,18 @@ it dies; the coincidence queue holds it as one int until its other columns
 are visited.  A complete table keeps those columns, compacted, and is
 checked before it is returned.
 
+The oracle keeps what it enumerates.  `context_for(group, cap)` holds one
+`GroupContext` per (group or lifted presentation, cap), up to `_CONTEXTS`
+(256) of them, evicting the oldest; a context's `coset_table` keeps each
+table, complete or budget, under the freely reduced subgroup words and the
+strategy.  The regular table and the order enumerations (`order`, with or
+without ``--subgroup``, and `classify --verify`'s claimed-order check,
+through `order_via_cyclic_subgroup`) all read that memo, so a process
+repeating a (presentation, subgroup, cap, strategy) enumerates it once,
+and a single CLI call does the enumerations it did before.
+`enumerate_cosets` itself keeps nothing, and `classify.verify_verdict`'s
+order-vs-G table, met once per instance in a sweep, is not kept.
+
 References: Holt, Eick, O'Brien, "Handbook of Computational Group
 Theory", chapter 5.
 """
@@ -757,13 +769,16 @@ def order_via_cyclic_subgroup(pres: LiftedPresentation, w: Word,
     """|group| = [group : <w>] * |w| when |w| can be pinned exactly.
 
     |w| is exact when its abelianized order meets an explicit power-relator
-    upper bound; otherwise the order comes from `group_order`.  Either way
-    one enumeration runs under `strategy`, and a cap hit is ExceedsBudget.
+    upper bound; otherwise the order is the index of the trivial subgroup.
+    Either way the table is the oracle's (`GroupContext.coset_table`), so
+    one enumeration runs under `strategy` per process, and a cap hit is
+    ExceedsBudget.
     """
     upper = _power_relator_bound(pres, w)
+    words = (w,)
     if upper is None or abelian_order_of_word(pres, w) != upper:
-        return group_order(pres, cap, strategy)
-    t = enumerate_cosets(pres, [w], cap, strategy)
+        words, upper = (), 1
+    t = context_for(pres, cap).coset_table(words, strategy)
     return (OrderResult.finite(t.n * upper) if t.complete
             else OrderResult.exceeds(cap))
 
@@ -782,6 +797,11 @@ class GroupContext:
     never as a guess.  Two words are equal when their normal forms are, or
     else when they lead from coset 1 to the same coset of the regular
     table; no product word u v^-1 is built.
+
+    `coset_table` keeps every table it enumerates, complete or budget,
+    under the freely reduced subgroup words and the strategy; the regular
+    table is its HLT table of the trivial subgroup.  A table is enumerated
+    at most once per context, and the context is the group's and cap's.
     """
 
     def __init__(self, group, cap: int = DEFAULT_CAP):
@@ -794,8 +814,11 @@ class GroupContext:
         else:
             raise TypeError("expected CoefficientGroup or LiftedPresentation")
         self.cap = cap
-        self._regular: Optional[CosetTable] = None
-        self._regular_tried = False
+        # coset_table's tables by (freely reduced words, strategy)
+        self._tables: dict = {}
+        # regular_table's answer once read from _tables (False until then);
+        # the oracle asks for it on every query
+        self._regular = False
         # classify.pair_facts' records, one per pair (g, h) asked about,
         # so they live exactly as long as this group and cap
         self.pairs: dict = {}
@@ -827,12 +850,26 @@ class GroupContext:
 
     # -- the regular representation ----------------------------------------
 
+    def coset_table(self, words: Iterable[Word] = (),
+                    strategy: str = "hlt") -> CosetTable:
+        """`enumerate_cosets` of the subgroup the words generate, at this
+        context's cap, enumerated on the first call for its words and
+        strategy and kept, complete or budget, for later calls."""
+        key = (tuple(free_reduce(w) for w in words), strategy)
+        t = self._tables.get(key)
+        if t is None:
+            t = enumerate_cosets(self.pres, key[0], self.cap, strategy)
+            self._tables[key] = t
+        return t
+
     def regular_table(self) -> Optional[CosetTable]:
-        if not self._regular_tried:
-            self._regular_tried = True
-            t = enumerate_cosets(self.pres, [], self.cap)
-            self._regular = t if t.complete else None
-        return self._regular
+        """The complete HLT table of the trivial subgroup, or None when it
+        exceeds the cap."""
+        t = self._regular
+        if t is False:
+            t = self.coset_table()
+            t = self._regular = t if t.complete else None
+        return t
 
     # -- oracle queries ------------------------------------------------------
 
@@ -964,17 +1001,27 @@ class GroupContext:
         return TriState.UNKNOWN
 
 
+# contexts _context_cache keeps; far above the 20 or fewer a benchmark
+# workload creates, so no workload evicts one
+_CONTEXTS = 256
 _context_cache: dict = {}
 
 
 def context_for(group, cap: int = DEFAULT_CAP) -> GroupContext:
-    """Shared, cached oracle; completed tables are immutable so reuse is safe."""
+    """Shared, cached oracle for a coefficient group or a lifted
+    presentation at a cap; tables are never changed once returned, so
+    reuse is safe.
+
+    The cache keeps the `_CONTEXTS` most recently created contexts: a miss
+    past that evicts the oldest, with every table it holds.
+    """
     key = ("coeff" if isinstance(group, CoefficientGroup) else "pres",
            group.generators, group.relators, cap)
     ctx = _context_cache.get(key)
     if ctx is None:
-        ctx = GroupContext(group, cap)
-        _context_cache[key] = ctx
+        if len(_context_cache) >= _CONTEXTS:
+            del _context_cache[next(iter(_context_cache))]
+        ctx = _context_cache[key] = GroupContext(group, cap)
     return ctx
 
 

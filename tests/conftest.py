@@ -22,3 +22,11 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return REPO / "fixtures"
+
+
+@pytest.fixture(autouse=True)
+def fresh_contexts(monkeypatch):
+    """An empty oracle cache for every test, so what a test counts (and
+    the tables it enumerates) never depends on which tests ran before."""
+    from relasph import coset
+    monkeypatch.setattr(coset, "_context_cache", {})

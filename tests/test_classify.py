@@ -454,12 +454,6 @@ def test_classify_presentation_gives_open_verdict_for_unreduced_relator():
         assert unreduced > 0, cap
 
 
-@pytest.fixture
-def fresh_contexts(monkeypatch):
-    """An empty context cache, so every (g, h) pair starts cold."""
-    monkeypatch.setattr(coset, "_context_cache", {})
-
-
 def _counting(monkeypatch, method):
     """Record every call of GroupContext.<method> from here on."""
     calls = []
@@ -473,7 +467,7 @@ def _counting(monkeypatch, method):
     return calls
 
 
-def test_case_flags_asks_each_order_once(monkeypatch, fresh_contexts):
+def test_case_flags_asks_each_order_once(monkeypatch):
     # |g|, |h| and |g h^-1| are each asked once, all through mu
     calls = _counting(monkeypatch, "element_order")
     flags = case_flags(cyc(5, 2, -1, 2, 1), 1000)
@@ -481,7 +475,7 @@ def test_case_flags_asks_each_order_once(monkeypatch, fresh_contexts):
     assert (flags.og, flags.oh, flags.ogh) == flags.mu.orders
 
 
-def test_pair_facts_asks_the_subgroup_order_once(monkeypatch, fresh_contexts):
+def test_pair_facts_asks_the_subgroup_order_once(monkeypatch):
     # commuting a, b of orders 2 and 4 leave both BBP-E4 and AAE-E open
     # until |gp{a,b}| is known; the pair's record asks it once for both
     calls = _counting(monkeypatch, "subgroup_order")
@@ -498,7 +492,7 @@ def test_pair_facts_asks_the_subgroup_order_once(monkeypatch, fresh_contexts):
     (cyc(8, 1, -2, 1, 3), "lk-2-neg1"),
     (cyc(7, 1, -6, 1, 2), "spread-exponents"),
 ])
-def test_classify_asks_each_equality_once(monkeypatch, fresh_contexts, inst,
+def test_classify_asks_each_equality_once(monkeypatch, inst,
                                           rule):
     # the (2,-1) obstructions and the spread-exponent families read the
     # equalities case_flags decided instead of asking the oracle again
@@ -512,7 +506,7 @@ def test_classify_asks_each_equality_once(monkeypatch, fresh_contexts, inst,
     assert calls == []
 
 
-def test_pair_records_change_no_verdict(monkeypatch, fresh_contexts):
+def test_pair_records_change_no_verdict(monkeypatch):
     # a seeded grid sample classified with fresh contexts, again in reverse
     # order from the contexts' pair records alone, and once more in reverse
     # order with fresh contexts, where each pair is met first at another

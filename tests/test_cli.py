@@ -206,6 +206,50 @@ def test_order_counts_through_the_first_generator_when_it_can(
         assert calls == [subs], name
 
 
+def test_one_process_enumerates_a_repeated_table_once(capsys, monkeypatch):
+    """order --subgroup h and classify --verify on one instance read the
+    oracle's one table over <h>; another strategy or cap enumerates its
+    own, and a budget table is kept like a complete one."""
+    import importlib
+    from relasph import coset
+    monkeypatch.delenv("ASPH_COSET_CAP", raising=False)
+    calls = []
+    enumerate_cosets = coset.enumerate_cosets
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_cosets(*args, **kwargs)
+
+    monkeypatch.setattr(coset, "enumerate_cosets", counting)
+    monkeypatch.setattr(importlib.import_module("relasph.classify"),
+                        "enumerate_cosets", counting)
+    inst = ("--cyclic", "5", "--l", "2", "--k", "1", "--g", "2", "--h", "1")
+    order = ("order", *inst, "--subgroup", "h")
+    verify = ("classify", "--verify", *inst)
+
+    def cold(*argv):
+        monkeypatch.setattr(coset, "_context_cache", {})
+        return run(capsys, *argv)
+
+    expected = [cold(*order), cold(*verify)]
+    assert expected[0] == (0, "Index(33)\n", "")
+    assert "reproduces order 165" in expected[1][1]
+    monkeypatch.setattr(coset, "_context_cache", {})
+    calls.clear()
+    assert [run(capsys, *order), run(capsys, *verify)] == expected
+    assert len(calls) == 1
+    for argv, line in (((*order, "--strategy", "felsch"), "Index(33)"),
+                       ((*order, "--cap", "1000"), "Index(33)")):
+        calls.clear()
+        assert run(capsys, *argv) == (0, line + "\n", "")
+        assert len(calls) == 1, argv
+    calls.clear()
+    for _ in range(2):
+        assert run(capsys, *order, "--cap", "10") == \
+            (0, "ExceedsBudget(10)\n", "")
+    assert len(calls) == 1
+
+
 def test_order_with_a_huge_exponent_exceeds_the_budget(tmp_path, capsys,
                                                        monkeypatch):
     """A coefficient relator of 10^12 letters is over any budget: order

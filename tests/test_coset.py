@@ -483,6 +483,45 @@ def test_order_via_cyclic_subgroup_rejects_an_unknown_strategy():
         assert str(via.value) == str(direct.value) == "unknown strategy 'bogus'"
 
 
+def test_coset_table_keeps_each_table_once():
+    # one enumeration per freely reduced words and strategy, complete or
+    # budget; the regular table is the HLT table of the trivial subgroup
+    ctx = context_for(S3, 100)
+    t = ctx.coset_table([(("a", 1), ("b", 1), ("b", -1))])
+    assert t.n == 3 and ctx.coset_table([(("a", 1),)]) is t
+    assert order_via_cyclic_subgroup(S3, (("a", 1),), 100) == \
+        OrderResult.finite(6)
+    assert ctx.coset_table([(("a", 1),)]) is t
+    assert ctx.regular_table() is ctx.coset_table(())
+    felsch = ctx.coset_table([], "felsch")
+    assert felsch.n == 6 and felsch is not ctx.regular_table()
+    with pytest.raises(ValueError):
+        ctx.coset_table([], "bogus")
+    small = context_for(A5, 10)
+    budget = small.coset_table()
+    assert not budget.complete and small.coset_table() is budget
+    assert small.regular_table() is None
+
+
+def test_context_cache_keeps_the_newest_contexts():
+    # the cache keeps the _CONTEXTS newest contexts, oldest out first
+    from relasph import coset
+    groups = [cyclic(n, "t") for n in range(1, coset._CONTEXTS + 2)]
+    keys = [("coeff", G.generators, G.relators, 100) for G in groups]
+    first = context_for(groups[0], 100)
+    for G in groups[1:]:
+        context_for(G, 100)
+    cache = coset._context_cache
+    assert list(cache) == keys[1:]
+    # a hit returns the context held and evicts nothing
+    held = cache[keys[1]]
+    assert context_for(groups[1], 100) is held
+    assert list(cache) == keys[1:]
+    # a miss evicts the oldest, hit or not
+    assert context_for(groups[0], 100) is not first
+    assert list(cache) == keys[2:] + keys[:1]
+
+
 def test_big_example_order_2361960():
     pres = P(["g", "x"], [[("g", 8)], [("x", 2), ("g", 2), ("x", -1), ("g", 1)]])
     r = order_via_cyclic_subgroup(pres, (("g", 1),), 3 * 10 ** 6)
