@@ -11,16 +11,23 @@ non-integer ASPH_COSET_CAP or a non-positive bound; ``--cyclic`` without
 all four of --l, --k, --g and --h, or neither a file nor ``--cyclic``; an
 instance that is not of length four (l = 0 among them); a relator without
 x-letters where a star graph or picture needs one; a picture corner
-naming a generator its group lacks; and a picture that cannot be reduced
-or measured, after its report.  Every such error is a ValueError (or an
-OSError) caught once, in `main`.  Table mismatches and fatal verification
-inconsistencies exit 1.  The environment variable ASPH_COSET_CAP overrides
-the default coset cap.
+naming a generator its group lacks; a ``table1 --only`` case that selects
+no fixture; and a picture that cannot be reduced or measured, after its
+report.  Every such error is a ValueError (or an OSError) caught once, in
+`main`.  Table mismatches and fatal verification inconsistencies exit 1.
+The environment variable ASPH_COSET_CAP overrides the default coset cap;
+`main` reads it on every call, before it parses the arguments.
+
+The argument parser is built on the first `main` call, which takes about
+1-2 ms, and reused by every later call in the process, whatever the cap:
+``--cap`` has no parser default, and `main` fills in the default cap after
+parsing.  A fresh process pays the build once, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -152,8 +159,12 @@ def cmd_table1(args) -> int:
     fixtures = list(TABLE1_FIXTURES)
     if args.extended:
         fixtures.append(EXTENDED_FIXTURE)
-    if args.only:
+    if args.only is not None:
+        cases = dict.fromkeys(f.case for f in fixtures)
         fixtures = [f for f in fixtures if f.case == args.only]
+        if not fixtures:
+            raise ValueError(f"--only {args.only!r} selects no fixture; "
+                             f"the cases are {', '.join(cases)}")
     rc = 0
     rows = []
     for fix in fixtures:
@@ -291,7 +302,10 @@ def cmd_picture(args) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser(cap: int) -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once a process.  ``--cap``
+    parses to None where it is not given; `main` fills in the default."""
     ap = argparse.ArgumentParser(
         prog="relasph",
         description="asphericity and diagrammatic reducibility of "
@@ -309,7 +323,7 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
         p.add_argument("--g", type=int, metavar="A",
                        help="g = h^A in the cyclic shorthand")
         p.add_argument("--h", type=int, metavar="B")
-        p.add_argument("--cap", type=int, default=cap,
+        p.add_argument("--cap", type=int,
                        help="coset enumeration budget")
         if formats:
             p.add_argument("--format", choices=("text", "json"),
@@ -326,7 +340,7 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
                    help="include the order-24530688 case (minutes)")
     p.add_argument("--only", metavar="CASE",
                    help="restrict to one case column, e.g. K5")
-    p.add_argument("--cap", type=int, default=cap)
+    p.add_argument("--cap", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_table1)
 
@@ -359,14 +373,17 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
                    help="cancel dipoles until reduced")
     p.add_argument("--curvature", action="store_true",
                    help="standard-angle curvature per region")
-    p.add_argument("--cap", type=int, default=cap)
+    p.add_argument("--cap", type=int)
     p.set_defaults(fn=cmd_picture)
     return ap
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser(default_cap()).parse_args(argv)
+        cap = default_cap()
+        args = build_parser().parse_args(argv)
+        if args.cap is None:
+            args.cap = cap
         _check_arguments(args)
         return args.fn(args)
     except (OSError, ValueError) as err:

@@ -168,6 +168,12 @@ class CosetTable:
         coset, every subgroup generator fixes coset 1 and the orbit of
         coset 1 holds every coset.
 
+        A pass shows that the columns are a transitive action of G in which
+        the subgroup fixes coset 1, so [G:H] >= n.  It does not show
+        equality: the two-coset table in which a swaps the cosets passes
+        for <a | a^4> over the trivial subgroup, of index 4.  That n is the
+        index rests on the enumeration that built the table.
+
         The checks raise rather than assert, so they hold under python -O.
         """
         cols, n = self.cols, self.n

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import relasph
 from relasph.classify import ORDER_VS_G_CAP
-from relasph.cli import main
+from relasph.cli import build_parser, main
 from relasph.coset import DEFAULT_CAP, MAX_CAP
 
 
@@ -391,11 +392,69 @@ def test_bad_cap_environment_exits_2(monkeypatch, capsys, env, line):
 
 
 def test_cap_environment_sets_the_default(monkeypatch, capsys):
-    monkeypatch.setenv("ASPH_COSET_CAP", "2000")
+    # the parser is reused, but each call takes the cap of its environment
     f = ("order", "--cyclic", "2", "--l", "2", "--k", "2", "--g", "1",
          "--h", "1")
-    rc, out, _ = run(capsys, *f)
-    assert rc == 0 and out.strip() == "ExceedsBudget(2000)"
+    for cap in ("2000", "3000"):
+        monkeypatch.setenv("ASPH_COSET_CAP", cap)
+        assert run(capsys, *f) == (0, f"ExceedsBudget({cap})\n", "")
+
+
+def _exits(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_a_reused_parser_prints_what_a_fresh_one_does(monkeypatch, capsys):
+    """A call after a usage error and after --help prints the bytes that
+    the same call prints with a parser built for it alone."""
+    monkeypatch.setenv("COLUMNS", "80")
+    order = ("order", "--cyclic", "5", "--l", "2", "--k", "-1", "--g", "2",
+             "--h", "1", "--cap", "1000")
+
+    def cold(call, *argv):
+        build_parser.cache_clear()
+        return call(capsys, *argv)
+
+    usage = ("order", "--strategy", "nope")
+    cold_order = cold(run, *order)
+    cold_usage = cold(_exits, *usage)
+    cold_help = cold(_exits, "order", "--help")
+    assert cold_order == (0, "Finite(55)\n", "")
+    assert cold_usage[0] == 2
+    assert cold_usage[2].startswith("usage: relasph order")
+    assert cold_help[0] == 0
+    assert cold_help[1].startswith("usage: relasph order")
+    assert _exits(capsys, *usage) == cold_usage
+    assert run(capsys, *order) == cold_order
+    assert _exits(capsys, "order", "--help") == cold_help
+    assert run(capsys, *order) == cold_order
+    assert _exits(capsys, "order", "--help") == cold_help
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    monkeypatch.setenv("ASPH_COSET_CAP", "2000")
+    build_parser.cache_clear()
+    f = ("order", "--cyclic", "2", "--l", "2", "--k", "2", "--g", "1",
+         "--h", "1")
+    for _ in range(10):
+        assert run(capsys, *f) == (0, "ExceedsBudget(2000)\n", "")
+    assert builds == ["relasph"]
+    # a cap from --cap or another environment reuses the same parser
+    assert run(capsys, *f, "--cap", "500") == (0, "ExceedsBudget(500)\n", "")
+    monkeypatch.setenv("ASPH_COSET_CAP", "3000")
+    assert run(capsys, *f) == (0, "ExceedsBudget(3000)\n", "")
+    assert builds == ["relasph"]
 
 
 def test_weighttest_search(tmp_path, capsys):
@@ -426,6 +485,16 @@ def test_table1_only_filter(capsys):
     rc, out, _ = run(capsys, "table1", "--only", "L6", "--cap", "200000")
     assert rc == 0
     assert out.count("[ok ]") == 3  # {2,1}, {2,-1}, {3,-1} L6 rows
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", ["K7", "k5", ""])
+def test_table1_only_without_a_fixture_exits_2(capsys, case, fmt):
+    # selecting no fixture is malformed input, not a battery that passed
+    rc, out, err = run(capsys, "table1", "--only", case, "--format", fmt)
+    assert rc == 2 and out == ""
+    assert err == (f"error: --only {case!r} selects no fixture; "
+                   "the cases are K5, K6+, K6-, L6\n")
 
 
 @pytest.mark.parametrize("mangle,error", [

@@ -176,6 +176,18 @@ def test_check_rejects_a_table_that_is_not_transitive():
     assert t.n == 1 and t.cols == [array("i", [0, 1])] * 2
 
 
+def test_check_proves_only_a_lower_bound_on_the_index():
+    """a swaps two cosets: a^4 closes at both and the trivial subgroup
+    fixes coset 1, so the table passes check(), although <a | a^4> has
+    index 4 over the trivial subgroup.  A pass shows [G:H] >= n, not
+    equality."""
+    pres = LiftedPresentation(("a",), ((("a", 4),),))
+    swap = CosetTable(pres, (), [array("i", [0, 2, 1])] * 2, 2,
+                      "complete", 100, 2)
+    swap.check()
+    assert enumerate_cosets(pres, [], 100).n == 4
+
+
 def test_a_word_longer_than_ten_times_the_cap_is_over_budget():
     """A relator or subgroup word of more than 10 * cap letters gives a
     budget table without being expanded; one of 10 * cap letters is
